@@ -74,12 +74,15 @@ pipeline-smoke:
 	$(GO) run ./cmd/pipelinebench -smoke
 
 # Short differential-fuzz pass over the unrolled Montgomery kernels,
-# the service's wire-format parser and the proof/VK decoders.
+# the service's wire-format parser, the /v1/msm shard evaluation
+# (engine + resident tables vs the double-and-add reference) and the
+# proof/VK decoders.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMul4Parity -fuzztime=10s ./internal/bigint
 	$(GO) test -run=^$$ -fuzz=FuzzMul6Parity -fuzztime=10s ./internal/bigint
 	$(GO) test -run=^$$ -fuzz=FuzzJobRequest -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRequest -fuzztime=10s ./internal/service
+	$(GO) test -run=^$$ -fuzz=FuzzMSMShardParity -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzProofRoundTrip -fuzztime=10s ./internal/groth16
 	$(GO) test -run=^$$ -fuzz=FuzzClusterWire -fuzztime=10s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzOutsourceWire -fuzztime=10s ./internal/cluster

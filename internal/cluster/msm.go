@@ -11,6 +11,7 @@ import (
 
 	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
+	"distmsm/internal/msm"
 	"distmsm/internal/outsource"
 	"distmsm/internal/serial"
 )
@@ -309,13 +310,15 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 }
 
 // msmLocal evaluates a shard in-process — the degrade path when no
-// MSM-capable node admits, mirroring proveLocal.
+// MSM-capable node admits, mirroring proveLocal. The real scalars fit
+// the scalar field, so the shard runs on the CPU Pippenger; the
+// double-and-add reference stays the rejection path's adjudicator only.
 func (c *Coordinator) msmLocal(crv *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, lo, hi int) (*curve.PointXYZZ, error) {
 	c.mu.Lock()
 	c.stats.LocalFallbacks++
 	c.mu.Unlock()
 	c.metrics.observeLocalFallback()
-	return crv.MSMReference(points[lo:hi], scalars[lo:hi]), nil
+	return msm.MSM(crv, points[lo:hi], scalars[lo:hi], msm.Config{Signed: true})
 }
 
 // pickMSMNode chooses the least-loaded dispatchable node whose client

@@ -418,40 +418,43 @@ func (p *Plan) EstimateCost() gpusim.Cost {
 
 	// Per-GPU load: points and buckets from the assignments (uniform
 	// digit distribution: a bucket range holds N·range/buckets points).
+	// Indexed by device, with one shared array of (device, window) marks:
+	// the planner prices ~40 candidate plans per MSM.
 	type load struct {
 		points  float64
 		buckets float64
-		windows map[int]bool
+		windows int // distinct windows the GPU works on; 0 = no share
 	}
-	loads := map[int]*load{}
+	loads := make([]load, p.Cluster.N)
 	if p.SplitNDim {
 		// Rejected first approach of §3.2.2: every GPU runs all windows
 		// over an N/N_gpu point slice and emits a full bucket array.
-		for g := 0; g < p.Cluster.N; g++ {
-			l := &load{windows: map[int]bool{}}
-			for j := 0; j < p.Windows; j++ {
-				l.windows[j] = true
+		for g := range loads {
+			loads[g] = load{
+				points:  float64(p.N) / float64(p.Cluster.N) * float64(p.Windows),
+				buckets: float64(p.Buckets) * float64(p.Windows),
+				windows: p.Windows,
 			}
-			l.points = float64(p.N) / float64(p.Cluster.N) * float64(p.Windows)
-			l.buckets = float64(p.Buckets) * float64(p.Windows)
-			loads[g] = l
 		}
 	} else {
+		seen := make([]bool, p.Cluster.N*p.Windows)
 		for _, a := range p.Assignments {
-			l := loads[a.GPU]
-			if l == nil {
-				l = &load{windows: map[int]bool{}}
-				loads[a.GPU] = l
-			}
+			l := &loads[a.GPU]
 			frac := float64(a.BucketHi-a.BucketLo) / float64(p.Buckets)
 			l.points += float64(p.N) * frac
 			l.buckets += float64(a.BucketHi - a.BucketLo)
-			l.windows[a.Window] = true
+			if mark := &seen[a.GPU*p.Windows+a.Window]; !*mark {
+				*mark = true
+				l.windows++
+			}
 		}
 	}
 
 	var maxScatter, maxSum float64
 	for _, l := range loads {
+		if l.windows == 0 {
+			continue
+		}
 		// --- bucket-scatter ---
 		var scatter float64
 		if p.Hierarchical {
@@ -471,7 +474,7 @@ func (p *Plan) EstimateCost() gpusim.Cost {
 		}
 		// Streaming each window's s-bit coefficient slices and writing
 		// the scattered point ids.
-		winCount := float64(len(l.windows))
+		winCount := float64(l.windows)
 		scatter += model.MemSeconds(winCount*float64(p.N)*float64(p.S)/8) +
 			model.MemSeconds(l.points*4)
 		if scatter > maxScatter {

@@ -67,26 +67,14 @@ func NewFixedBase(c *curve.Curve, points []curve.PointAffine, opts Options) (*Fi
 	if opts.Unsigned {
 		return nil, fmt.Errorf("core: fixed-base tables require signed-digit recoding")
 	}
-	fb := &FixedBase{c: c, n: len(points), base: len(points), scalarBits: c.ScalarBits}
+	fb, err := fixedBaseGeometry(c, len(points), opts)
+	if err != nil {
+		return nil, err
+	}
 	basePts := points
-	if opts.GLV {
-		g, err := glvContext(c)
-		if err != nil {
-			return nil, err
-		}
-		fb.glv = g
-		fb.scalarBits = g.HalfBits() + 4
-		fb.base = 2 * len(points)
-		basePts = g.SplitPoints(points)
+	if fb.glv != nil {
+		basePts = fb.glv.SplitPoints(points)
 	}
-	fb.s = opts.WindowSize
-	if fb.s == 0 {
-		fb.s = fixedBaseWindow(fb.base, fb.scalarBits)
-	}
-	if fb.s < 2 || fb.s > 26 {
-		return nil, fmt.Errorf("core: fixed-base window size %d out of range", fb.s)
-	}
-	fb.windows = msm.NumWindows(fb.scalarBits, fb.s) + 1 // signed carry window
 
 	// The table builder sizes its columns from the curve's scalar width;
 	// hand it the effective (possibly GLV-halved) width.
@@ -99,6 +87,42 @@ func NewFixedBase(c *curve.Curve, points []curve.PointAffine, opts Options) (*Fi
 	fb.pre = pre
 	fb.flat = pre.Flatten()
 	return fb, nil
+}
+
+// fixedBaseGeometry resolves the shape of the tables over an n-point
+// base vector — GLV context, flat stride, effective scalar width, window
+// size and count — into a FixedBase that lacks only the tables.
+func fixedBaseGeometry(c *curve.Curve, n int, opts Options) (*FixedBase, error) {
+	fb := &FixedBase{c: c, n: n, base: n, scalarBits: c.ScalarBits}
+	if opts.GLV {
+		g, err := glvContext(c)
+		if err != nil {
+			return nil, err
+		}
+		fb.glv = g
+		fb.scalarBits = g.HalfBits() + 4
+		fb.base = 2 * n
+	}
+	fb.s = opts.WindowSize
+	if fb.s == 0 {
+		fb.s = fixedBaseWindow(fb.base, fb.scalarBits)
+	}
+	if fb.s < 2 || fb.s > 26 {
+		return nil, fmt.Errorf("core: fixed-base window size %d out of range", fb.s)
+	}
+	fb.windows = msm.NumWindows(fb.scalarBits, fb.s) + 1 // signed carry window
+	return fb, nil
+}
+
+// FixedBaseBytes is the MemoryBytes of the tables NewFixedBase would
+// build over an n-point base vector, without building them — what a
+// cache consults before committing to a table it may not have room for.
+func FixedBaseBytes(c *curve.Curve, n int, opts Options) (int64, error) {
+	fb, err := fixedBaseGeometry(c, n, opts)
+	if err != nil {
+		return 0, err
+	}
+	return msm.TableBytes(c, fb.windows, fb.base), nil
 }
 
 // fixedBaseWindow picks s minimising the merged-window host work:
@@ -137,44 +161,76 @@ func (fb *FixedBase) MemoryBytes() int64 { return fb.pre.MemoryBytes() }
 // before k2) is what both engines replay, which keeps results
 // bit-identical across engines and fault schedules.
 func (fb *FixedBase) scatter(scalars []bigint.Nat) (*ScatterResult, error) {
-	res := &ScatterResult{Buckets: make([][]int32, 1<<(fb.s-1)+1)}
-	res.Stats.Passes = 1
-	put := func(j int, d int32, idx int, flip bool) {
-		if d == 0 {
-			return
-		}
-		neg := d < 0
-		if neg {
-			d = -d
-		}
-		if flip {
-			neg = !neg
-		}
-		ref := int32(j*fb.base + idx + 1)
-		if neg {
-			ref = -ref
-		}
-		res.Buckets[d] = append(res.Buckets[d], ref)
-		res.Stats.GlobalAtomics++
+	// Pass 1 recodes every scalar into one flat digit matrix — a row of
+	// fb.windows digits per scalar (two per scalar with GLV: k1 then k2,
+	// a negative half folded into its digits' signs) — and counts each
+	// bucket's population, so pass 2 can place the references into one
+	// exactly-sized arena instead of growing a slice per bucket.
+	rows, w := len(scalars), fb.windows
+	if fb.glv != nil {
+		rows *= 2
 	}
-	if fb.glv == nil {
-		for i, k := range scalars {
-			for j, d := range msm.SignedDigits(k, fb.scalarBits, fb.s) {
-				put(j, d, i, false)
+	digits := make([]int32, rows*w)
+	cursor := make([]int32, 1<<(fb.s-1)+1)
+	refs := 0
+	recode := func(r int, k bigint.Nat, flip bool) {
+		row := msm.SignedDigitsInto(digits[r*w:r*w:(r+1)*w], k, fb.scalarBits, fb.s)
+		for j, d := range row {
+			if d == 0 {
+				continue
 			}
+			if flip {
+				d = -d
+				row[j] = d
+			}
+			if d < 0 {
+				d = -d
+			}
+			cursor[d]++
+			refs++
 		}
-		return res, nil
 	}
 	for i, k := range scalars {
+		if fb.glv == nil {
+			recode(i, k, false)
+			continue
+		}
 		k1, neg1, k2, neg2, err := fb.glv.DecomposeNat(k)
 		if err != nil {
 			return nil, err
 		}
-		for j, d := range msm.SignedDigits(k1, fb.scalarBits, fb.s) {
-			put(j, d, i, neg1)
+		recode(2*i, k1, neg1)
+		recode(2*i+1, k2, neg2)
+	}
+
+	res := &ScatterResult{Buckets: make([][]int32, len(cursor))}
+	res.Stats.Passes = 1
+	res.Stats.GlobalAtomics = refs
+	arena := make([]int32, refs)
+	off := int32(0)
+	for b := 1; b < len(cursor); b++ {
+		end := off + cursor[b]
+		res.Buckets[b] = arena[off:end:end]
+		cursor[b] = off
+		off = end
+	}
+	// Pass 2 places row r's window-j digit d as ±(j·base+idx+1) in bucket
+	// |d|, rows ascending — the per-bucket order documented above.
+	for r := 0; r < rows; r++ {
+		idx := r
+		if fb.glv != nil {
+			idx = r/2 + r%2*fb.n
 		}
-		for j, d := range msm.SignedDigits(k2, fb.scalarBits, fb.s) {
-			put(j, d, fb.n+i, neg2)
+		for j, d := range digits[r*w : (r+1)*w] {
+			if d == 0 {
+				continue
+			}
+			ref := int32(j*fb.base + idx + 1)
+			if d < 0 {
+				d, ref = -d, -ref
+			}
+			arena[cursor[d]] = ref
+			cursor[d]++
 		}
 	}
 	return res, nil

@@ -198,12 +198,15 @@ func newScheduler(plan *Plan, opts Options) *scheduler {
 	}
 	s.verifyMode = opts.VerifyMode
 	s.verifyMask = opts.VerifyMaskTerms
-	for _, a := range plan.Assignments {
+	tasks := make([]shardTask, len(plan.Assignments)) // one backing array
+	s.tasks = make([]*shardTask, 0, len(tasks))
+	for i, a := range plan.Assignments {
 		if !s.healthy[a.GPU] {
 			s.healthy[a.GPU] = true
 			s.gpus = append(s.gpus, a.GPU)
 		}
-		t := &shardTask{
+		t := &tasks[i]
+		*t = shardTask{
 			a:      a,
 			owner:  a.GPU,
 			weight: float64(a.BucketHi-a.BucketLo) / float64(plan.Buckets),

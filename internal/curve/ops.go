@@ -24,10 +24,15 @@ type Adder struct {
 func (c *Curve) NewAdder() *Adder {
 	f := c.Fp
 	a := &Adder{c: c, f: f}
-	for _, e := range []*field.Element{
+	regs := [...]*field.Element{
 		&a.u1, &a.u2, &a.s1, &a.s2, &a.p, &a.r, &a.pp, &a.ppp, &a.q, &a.v, &a.t,
-	} {
-		*e = f.NewElement()
+	}
+	// One arena for all registers: engines build an adder per worker per
+	// run, and eleven separate elements were most of a small run's allocs.
+	w := f.Width()
+	limbs := make([]uint64, len(regs)*w)
+	for i, e := range regs {
+		*e = field.Element(limbs[i*w : (i+1)*w : (i+1)*w])
 	}
 	return a
 }

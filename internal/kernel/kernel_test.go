@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -295,6 +296,34 @@ func TestBuildSpecWaterfall(t *testing.T) {
 		}
 		prev = &spec
 	}
+}
+
+// TestBuildSpecMemoisedMatchesFresh: the memoised specs equal a fresh
+// derivation for every variant, on first and repeated calls, from
+// several goroutines at once — and an out-of-enum variant still derives.
+func TestBuildSpecMemoisedMatchesFresh(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range append(Variants(), Variant(99)) {
+				for _, tc := range []struct {
+					name         string
+					memo, direct func(Variant) (Spec, error)
+				}{{"BuildSpec", BuildSpec, buildSpec}, {"BuildPADDSpec", BuildPADDSpec, buildPADDSpec}} {
+					want, wantErr := tc.direct(v)
+					for call := 0; call < 2; call++ {
+						got, err := tc.memo(v)
+						if got != want || (err == nil) != (wantErr == nil) {
+							t.Errorf("%s(%v) call %d = %+v, %v; fresh derivation %+v, %v", tc.name, v, call, got, err, want, wantErr)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestVariantStrings(t *testing.T) {

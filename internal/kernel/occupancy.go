@@ -1,5 +1,7 @@
 package kernel
 
+import "sync"
+
 // This file models how register pressure translates to GPU occupancy and
 // kernel throughput (§4.2, §5.3.3). Registers are the 32-bit architectural
 // registers of contemporary GPUs, so a big integer costs ⌈bits/32⌉ of
@@ -98,11 +100,38 @@ type Spec struct {
 	TCCompacted bool
 }
 
+// specMemo holds one variant's derived Spec. The derivations are pure
+// functions of the variant (the OptimalSchedule search and PlanSpills
+// over two fixed graphs), yet every plan — and every window size the
+// planner probes — asks for them again, so they are computed once.
+type specMemo struct {
+	once sync.Once
+	spec Spec
+	err  error
+}
+
+var accSpecs, paddSpecs [len(variantNames)]specMemo
+
+// memoSpec returns build(v), computed at most once per named variant.
+// Variants outside the enum are derived fresh: they are a caller bug,
+// not worth unbounded cache keys.
+func memoSpec(memos *[len(variantNames)]specMemo, v Variant, build func(Variant) (Spec, error)) (Spec, error) {
+	if v < 0 || int(v) >= len(memos) {
+		return build(v)
+	}
+	m := &memos[v]
+	m.once.Do(func() { m.spec, m.err = build(v) })
+	return m.spec, m.err
+}
+
 // BuildSpec derives the kernel Spec for an optimisation level from the
 // dataflow model (the numbers are computed, not hard-coded: the
 // straightforward orders evaluate to 9 and 11 live integers as in the
 // paper, and the search/spill passes produce the improved figures).
-func BuildSpec(v Variant) (Spec, error) {
+// The result is memoised per variant.
+func BuildSpec(v Variant) (Spec, error) { return memoSpec(&accSpecs, v, buildSpec) }
+
+func buildSpec(v Variant) (Spec, error) {
 	padd, pacc := PADDGraph(), PACCGraph()
 	spec := Spec{Variant: v}
 	switch {
@@ -145,8 +174,10 @@ func BuildSpec(v Variant) (Spec, error) {
 // style work only benefits from the scheduling, spilling and tensor-core
 // optimisations. This asymmetry is why the kernel optimisations lose
 // impact as GPUs are added under the single-GPU algorithm (Figure 10):
-// the un-shrunk bucket-reduce is PADD-bound.
-func BuildPADDSpec(v Variant) (Spec, error) {
+// the un-shrunk bucket-reduce is PADD-bound. Memoised like BuildSpec.
+func BuildPADDSpec(v Variant) (Spec, error) { return memoSpec(&paddSpecs, v, buildPADDSpec) }
+
+func buildPADDSpec(v Variant) (Spec, error) {
 	padd := PADDGraph()
 	spec := Spec{Variant: v, Muls: padd.MulCount()}
 	if v <= VariantPACC {

@@ -40,23 +40,40 @@ func Digits(scalar bigint.Nat, scalarBits, s int) []uint32 {
 // (the negation of a point is free), a standard Pippenger optimisation
 // used by the ZPrize winners and adopted by DistMSM.
 func SignedDigits(scalar bigint.Nat, scalarBits, s int) []int32 {
-	raw := Digits(scalar, scalarBits, s)
-	out := make([]int32, len(raw)+1)
+	return SignedDigitsInto(nil, scalar, scalarBits, s)
+}
+
+// SignedDigitsInto is SignedDigits writing into dst's storage (grown
+// when its capacity is below ⌈λ/s⌉+1) so a loop over many scalars
+// recodes without allocating; the returned slice aliases dst.
+func SignedDigitsInto(dst []int32, scalar bigint.Nat, scalarBits, s int) []int32 {
+	if s < 1 || s > 31 {
+		panic(fmt.Sprintf("msm: window size %d out of range [1,31]", s))
+	}
+	n := NumWindows(scalarBits, s)
+	if cap(dst) < n+1 {
+		dst = make([]int32, n+1)
+	}
+	dst = dst[:n+1]
 	half := int64(1) << (s - 1)
 	carry := int64(0)
-	for j, d := range raw {
-		v := int64(d) + carry
+	for j := 0; j < n; j++ {
+		width := s
+		if rem := scalarBits - j*s; rem < s {
+			width = rem
+		}
+		v := int64(scalar.Bits(j*s, width)) + carry
 		if v > half {
-			out[j] = int32(v - (int64(1) << s))
+			dst[j] = int32(v - (int64(1) << s))
 			carry = 1
 		} else {
-			out[j] = int32(v)
+			dst[j] = int32(v)
 			carry = 0
 		}
 	}
-	out[len(raw)] = int32(carry)
+	dst[n] = int32(carry)
 	if carry == 0 {
-		out = out[:len(raw)]
+		dst = dst[:n]
 	}
-	return out
+	return dst
 }

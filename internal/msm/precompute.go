@@ -88,9 +88,13 @@ func (p *Precomputed) Flatten() []curve.PointAffine {
 // MemoryBytes estimates the table storage: two base-field coordinates per
 // stored point. Column 0 aliases the caller's base vector but is counted
 // anyway — a conservative figure for admission budgeting.
-func (p *Precomputed) MemoryBytes() int64 {
-	limbBytes := int64((p.c.Fp.Bits()+63)/64) * 8
-	return int64(len(p.tables)) * int64(p.N()) * 2 * limbBytes
+func (p *Precomputed) MemoryBytes() int64 { return TableBytes(p.c, len(p.tables), p.N()) }
+
+// TableBytes is the MemoryBytes of `tables` window tables over n base
+// points on c — the figure for tables not built yet.
+func TableBytes(c *curve.Curve, tables, n int) int64 {
+	limbBytes := int64((c.Fp.Bits()+63)/64) * 8
+	return int64(tables) * int64(n) * 2 * limbBytes
 }
 
 // MSM computes Σ scalars[i]·P_i using the precomputed tables: all windows

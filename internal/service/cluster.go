@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"time"
 
+	"distmsm/internal/bigint"
 	"distmsm/internal/cluster"
+	"distmsm/internal/core"
 	"distmsm/internal/curve"
 	"distmsm/internal/serial"
 )
@@ -93,21 +95,25 @@ func (s *Service) VerifyProof(circuitName string, seed int64, proofBytes []byte)
 	return s.eng.Verify(c.vk, proof, w[1:1+c.cs.NPublic])
 }
 
-// handleMSM serves one coordinator-dispatched MSM shard: derive the
-// base range from (curve, point_seed), evaluate Σ k_i·P_i over the
-// explicit scalars, and return the sum as an uncompressed serial point.
+// handleMSM serves one coordinator-dispatched MSM shard: Σ k_i·P_i over
+// the explicit scalars and the base range named by (curve, point_seed,
+// range), returned as an uncompressed serial point.
 //
 //	POST /v1/msm
 //	  request   cluster.MSMDispatchRequest
 //	  response  200 {"job_id", "result"} on success
 //	            200 {"job_id", "error"}  on a terminal evaluation error
 //	            400 malformed
+//	            499 coordinator abandoned the shard
+//	            504 the request's timeout_ms expired
 //
 // The worker cannot tell a real instance from a challenge instance —
 // both frame identically (same curve, seed, range and scalar width) —
 // so it cannot selectively cheat only where it will not be graded.
-// Points are re-derived per request from the deterministic sample
-// chain; a production worker would hold its base table resident.
+//
+// The shard runs on the DistMSM engine (evalShard), under the request's
+// context bounded by its timeout_ms: an abandoned or expired shard
+// stops at the engine's next shard boundary instead of running out.
 func (s *Service) handleMSM(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -128,19 +134,66 @@ func (s *Service) handleMSM(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The sample chain only walks forward, so the shard derives the
-	// prefix and slices its range.
-	points := crv.SamplePoints(req.RangeHi, req.PointSeed)[req.RangeLo:req.RangeHi]
-	if r.Context().Err() != nil {
-		http.Error(w, r.Context().Err().Error(), 499)
-		return
+	ctx := r.Context()
+	if d := req.Timeout(); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-	sum := crv.MSMReference(points, scalars)
-	aff := crv.ToAffine(sum)
-	writeJSON(w, cluster.MSMDispatchResponse{
-		JobID:  req.JobID,
-		Result: hex.EncodeToString(serial.MarshalPoint(crv, &aff, false)),
-	})
+	start := time.Now()
+	sum, err := s.evalShard(ctx, crv, req, scalars)
+	s.metrics.observeShard(time.Since(start).Seconds())
+	switch {
+	case err == nil:
+		aff := crv.ToAffine(sum)
+		writeJSON(w, cluster.MSMDispatchResponse{
+			JobID:  req.JobID,
+			Result: hex.EncodeToString(serial.MarshalPoint(crv, &aff, false)),
+		})
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+	case ctx.Err() != nil:
+		// The coordinator abandoned the dispatch; the status code is for
+		// the access log only.
+		http.Error(w, err.Error(), 499)
+	default:
+		writeJSON(w, cluster.MSMDispatchResponse{JobID: req.JobID, Error: err.Error()})
+	}
+}
+
+// evalShard evaluates one shard on the service's simulated cluster with
+// the same engine options as a proof's MSMs (msmOptions), so fault
+// injection, retries, result verification and the MSM metrics cover
+// outsourced shards too. The bases are resident: the first request for
+// a (curve, point_seed, range, scalar_bits) derives the range and builds
+// fixed-base tables over it (shardTables); every later one only scatters
+// its scalars into them. A range whose tables are not cacheable derives
+// its points per request and runs the variable-base plan instead.
+//
+// The scalars are integers up to req.ScalarBits wide — the outsourced
+// check's challenge instance runs ~λ bits past the scalar field — and
+// the engine rejects anything above the curve's ScalarBits, so the shard
+// runs on a width-widened copy of the curve.
+func (s *Service) evalShard(ctx context.Context, crv *curve.Curve, req cluster.MSMDispatchRequest, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
+	wc := *crv
+	wc.ScalarBits = req.ScalarBits
+	tables, err := s.shardTables(ctx, &wc, req)
+	if err != nil {
+		return nil, err
+	}
+	var points []curve.PointAffine
+	var fb *core.FixedBase
+	if tables != nil {
+		points, fb = tables.points, tables.fb
+	} else {
+		points = wc.SamplePoints(req.RangeHi, req.PointSeed)[req.RangeLo:req.RangeHi]
+	}
+	res, err := core.RunContext(ctx, &wc, s.cluster, points, scalars, s.msmOptions(ctx, fb))
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.observeMSM(res.Stats.Faults)
+	return res.Point, nil
 }
 
 // handleClusterDispatch serves one coordinator-dispatched job.

@@ -49,12 +49,16 @@ import (
 //
 //	POST /v1/cluster/dispatch   coordinator-dispatched proof job (see
 //	                            cluster.go for the worker-node surface)
-//	POST /v1/msm                coordinator-dispatched MSM shard: derive
-//	                            the base range from (curve, point_seed),
-//	                            evaluate the explicit scalars, return the
-//	                            sum. The worker cannot tell a real
-//	                            instance from the coordinator's secret
-//	                            challenge instance (see cluster.go and
+//	POST /v1/msm                coordinator-dispatched MSM shard: evaluate
+//	                            the explicit scalars over the base range
+//	                            named by (curve, point_seed, range) on
+//	                            the DistMSM engine — from fixed-base
+//	                            tables kept resident per range — and
+//	                            return the sum; honours timeout_ms (504)
+//	                            and the coordinator hanging up (499).
+//	                            The worker cannot tell a real instance
+//	                            from the coordinator's secret challenge
+//	                            instance (see cluster.go and
 //	                            internal/outsource).
 //
 // The unversioned paths (/prove, /healthz, /stats, /metrics) are legacy

@@ -38,6 +38,7 @@ type serviceMetrics struct {
 
 	phaseSeconds map[string]*telemetry.Histogram
 
+	shardSeconds   *telemetry.Histogram
 	msmRuns        *telemetry.Counter
 	faultTransient *telemetry.Counter
 	faultStraggler *telemetry.Counter
@@ -85,13 +86,13 @@ func newServiceMetrics(reg *telemetry.Registry, health *gpusim.HealthRegistry, g
 		"End-to-end job latency (dequeue to terminal state).", "", nil)
 
 	m.baseCacheHits = reg.Counter("distmsm_base_cache_hits_total",
-		"Jobs proved from a circuit's cached fixed-base tables.", "")
+		"Jobs and /v1/msm shards served from resident fixed-base tables.", "")
 	m.baseCacheMisses = reg.Counter("distmsm_base_cache_misses_total",
-		"Jobs that recomputed from raw proving-key columns (no cache).", "")
+		"Jobs and /v1/msm shards that ran without resident tables (no cache, or its first-sight build).", "")
 	m.baseCacheEvictions = reg.Counter("distmsm_base_cache_evictions_total",
-		"Circuit base caches dropped under memory pressure.", "")
+		"Resident table sets (circuit or shard) dropped under memory pressure.", "")
 	m.baseCacheBytes = reg.Gauge("distmsm_base_cache_bytes",
-		"Bytes currently held by cached fixed-base tables.", "")
+		"Bytes currently held by resident fixed-base tables.", "")
 
 	// Shed and reorder counters are pre-registered per reason so the
 	// dequeue path never takes the registry lock.
@@ -113,6 +114,8 @@ func newServiceMetrics(reg *telemetry.Registry, health *gpusim.HealthRegistry, g
 			`phase="`+phase+`"`, nil)
 	}
 
+	m.shardSeconds = reg.Histogram("distmsm_msm_shard_seconds",
+		"Service time of one /v1/msm shard (table lookup or first-sight build, plus the MSM).", "", nil)
 	m.msmRuns = reg.Counter("distmsm_msm_runs_total",
 		"MSM executions completed by the multi-GPU scheduler.", "")
 	fault := func(class string) *telemetry.Counter {
@@ -188,7 +191,15 @@ func (m *serviceMetrics) observeJob(outcome jobOutcome, seconds float64) {
 	m.jobSeconds.Observe(seconds)
 }
 
-// observeBaseLookup records one job's base-cache lookup outcome.
+// observeShard records one /v1/msm shard's service time.
+func (m *serviceMetrics) observeShard(seconds float64) {
+	if m == nil {
+		return
+	}
+	m.shardSeconds.Observe(seconds)
+}
+
+// observeBaseLookup records one job's or shard's base-cache lookup outcome.
 func (m *serviceMetrics) observeBaseLookup(hit bool) {
 	if m == nil {
 		return

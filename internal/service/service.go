@@ -209,7 +209,9 @@ type Config struct {
 	// groth16.ProveContext, so it is an explicit opt-in.
 	ShedDoomed bool
 	// MemoryBudget bounds the summed memory estimates of queued and
-	// in-flight jobs, in bytes; 0 means unbounded.
+	// in-flight jobs plus the resident fixed-base tables (circuit and
+	// /v1/msm shard tables, which yield to jobs by LRU eviction), in
+	// bytes; 0 means unbounded.
 	MemoryBudget int64
 	// DefaultTimeout is the per-job deadline when the request does not
 	// set one (default 1 minute). The deadline is end-to-end from Submit.
@@ -226,10 +228,12 @@ type Config struct {
 	VerifySampling float64
 	// WindowSize pins the MSM window size; 0 lets the planner choose.
 	WindowSize int
-	// DisableBaseCache turns off the per-circuit fixed-base cache:
+	// DisableBaseCache turns off the resident fixed-base tables:
 	// RegisterCircuit then skips the proving-key table precomputation and
-	// every job recomputes from the raw key columns (the pre-cache
-	// behaviour; mostly useful for benchmarking the cache itself).
+	// every job recomputes from the raw key columns, and /v1/msm shards
+	// derive their base range per request and run the variable-base plan
+	// (the pre-cache behaviour; mostly useful for benchmarking the cache
+	// itself).
 	DisableBaseCache bool
 	// ProvePipelined runs every job's proof as a phase DAG instead of a
 	// phase list: the quotient (on parallel coset NTTs) overlaps the
@@ -314,10 +318,9 @@ type circuit struct {
 // for the four G1 columns, and the Jacobian-reduce fixed-base tables
 // for the G2 column B2. Only witness-dependent work remains per job.
 type circuitBases struct {
-	g1      [4]*core.FixedBase // indexed by groth16.MSMPhase
-	b2      *pairing.G2Precomputed
-	mem     int64
-	lastUse time.Time // LRU clock for eviction, under Service.mu
+	cachedTables                    // budget charge and LRU clock, see tables.go
+	g1           [4]*core.FixedBase // indexed by groth16.MSMPhase
+	b2           *pairing.G2Precomputed
 }
 
 // JobState is the lifecycle of one job.
@@ -402,12 +405,14 @@ type Stats struct {
 	Queued    int    // jobs waiting for a worker, right now
 	InFlight  int    // jobs on a worker, right now
 	// MemoryInUse is the summed memory estimate of queued + in-flight
-	// jobs plus the cached fixed-base tables, in bytes.
+	// jobs plus the resident fixed-base tables, in bytes.
 	MemoryInUse int64
-	// Base-cache counters: jobs served from a circuit's cached tables
-	// (hits), jobs that had to recompute from raw key columns (misses),
-	// caches dropped under memory pressure (evictions), and the bytes
-	// currently held by cached tables.
+	// Base-cache counters, over both kinds of resident table — a
+	// circuit's proving-key tables and a /v1/msm shard range's base
+	// tables: jobs and shards served from resident tables (hits), those
+	// that ran without (misses: no cache, an evicted circuit, a shard
+	// range's first-sight build), table sets dropped under memory
+	// pressure (evictions), and the bytes currently resident.
 	BaseCacheHits      uint64
 	BaseCacheMisses    uint64
 	BaseCacheEvictions uint64
@@ -475,6 +480,11 @@ type Service struct {
 	stats         Stats
 	// ewmaJobSec is the completion-time EWMA feeding retry-after hints.
 	ewmaJobSec float64
+	// tables lists every resident fixed-base table set — circuit bases
+	// and /v1/msm shard bases alike — for the one LRU (tables.go); shards
+	// indexes the shard entries, in-flight builds included.
+	tables []*cachedTables
+	shards map[shardKey]*shardBases
 }
 
 // coalesceBurst bounds how many consecutive jobs a worker may pull by
@@ -520,6 +530,7 @@ func New(cfg Config) (*Service, error) {
 		queue:         jobQueue{policy: cfg.QueuePolicy},
 		inFlightBy:    map[string]int{},
 		outstandingBy: map[string]int{},
+		shards:        map[shardKey]*shardBases{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics = newServiceMetrics(cfg.Metrics, reg, s.cluster.N)
@@ -604,17 +615,9 @@ func (s *Service) RegisterCircuit(ctx context.Context, name string, cs *r1cs.Sys
 		return fmt.Errorf("%w: circuit %q already registered", ErrBadRequest, name)
 	}
 	if bases != nil {
-		if s.cfg.MemoryBudget > 0 && s.memInUse+bases.mem > s.cfg.MemoryBudget {
-			s.evictBasesLocked(s.memInUse + bases.mem - s.cfg.MemoryBudget)
-		}
-		if s.cfg.MemoryBudget > 0 && s.memInUse+bases.mem > s.cfg.MemoryBudget {
+		bases.drop = func() { c.bases = nil }
+		if !s.admitTablesLocked(&bases.cachedTables) {
 			bases = nil // no room even after eviction: register uncached
-		} else {
-			bases.lastUse = time.Now()
-			s.memInUse += bases.mem
-			s.stats.MemoryInUse = s.memInUse
-			s.stats.BaseCacheBytes += bases.mem
-			s.metrics.observeBaseSize(s.stats.BaseCacheBytes, false)
 		}
 	}
 	c.bases = bases
@@ -647,35 +650,6 @@ func (s *Service) buildBases(ctx context.Context, pk *groth16.ProvingKey) (*circ
 	b.b2 = s.eng.P.G2.Precompute(pk.B2, s.cfg.WindowSize, s.eng.Fr.Modulus.BitLen())
 	b.mem += b.b2.MemoryBytes()
 	return b, nil
-}
-
-// evictBasesLocked drops cached tables, coldest first, until need bytes
-// are freed or no caches remain. Evicted circuits stay registered and
-// fall back to raw key columns; in-flight jobs keep the (immutable)
-// tables they already grabbed.
-func (s *Service) evictBasesLocked(need int64) {
-	for need > 0 {
-		var victim *circuit
-		for _, c := range s.circuits {
-			if c.bases == nil {
-				continue
-			}
-			if victim == nil || c.bases.lastUse.Before(victim.bases.lastUse) {
-				victim = c
-			}
-		}
-		if victim == nil {
-			return
-		}
-		freed := victim.bases.mem
-		victim.bases = nil
-		need -= freed
-		s.memInUse -= freed
-		s.stats.MemoryInUse = s.memInUse
-		s.stats.BaseCacheBytes -= freed
-		s.stats.BaseCacheEvictions++
-		s.metrics.observeBaseSize(s.stats.BaseCacheBytes, true)
-	}
 }
 
 // RegisterSynthetic registers the n-constraint synthetic workload
@@ -812,7 +786,7 @@ func (s *Service) SubmitBatch(reqs []Request) ([]*Job, error) {
 	}
 	if s.cfg.MemoryBudget > 0 && s.memInUse+batchMem > s.cfg.MemoryBudget {
 		// Cached tables are reclaimable: drop cold ones before rejecting.
-		s.evictBasesLocked(s.memInUse + batchMem - s.cfg.MemoryBudget)
+		s.evictTablesLocked(s.memInUse+batchMem-s.cfg.MemoryBudget, false)
 	}
 	if s.cfg.MemoryBudget > 0 && s.memInUse+batchMem > s.cfg.MemoryBudget {
 		s.stats.Rejected += uint64(len(reqs))
@@ -1256,22 +1230,15 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 				}
 			}
 			phaseStart := time.Now()
-			opts := core.Options{
-				WindowSize:     s.cfg.WindowSize,
-				Engine:         core.EngineConcurrent,
-				Faults:         s.cfg.Faults,
-				Retry:          s.cfg.Retry,
-				VerifySampling: s.cfg.VerifySampling,
-				Tracer:         telemetry.FromContext(ctx),
-				// Pipelined proofs run G1 phases concurrently: each
-				// phase schedules onto its own GPU sub-pool (nil =
-				// whole cluster), so two phases never queue shards on
-				// the same simulated device.
-				Devices: s.phasePools[phase],
-			}
+			var fb *core.FixedBase
 			if bases != nil {
-				opts.FixedBase = bases.g1[phase]
+				fb = bases.g1[phase]
 			}
+			opts := s.msmOptions(msmCtx, fb)
+			// Pipelined proofs run G1 phases concurrently: each phase
+			// schedules onto its own GPU sub-pool (nil = whole cluster), so
+			// two phases never queue shards on the same simulated device.
+			opts.Devices = s.phasePools[phase]
 			res, err := core.RunContext(msmCtx, s.eng.P.Curve, s.cluster, points, scalars, opts)
 			if err != nil {
 				return nil, err
@@ -1313,6 +1280,23 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 		return nil, ErrProofRejected
 	}
 	return proof, nil
+}
+
+// msmOptions is the one core.Options set every G1 MSM of the service
+// runs under — a proof's key-column phases and /v1/msm shards alike — so
+// the configured fault injection, retry policy, verification sampling
+// and the request's tracer cover both. fb, when non-nil, routes the run
+// through resident fixed-base tables.
+func (s *Service) msmOptions(ctx context.Context, fb *core.FixedBase) core.Options {
+	return core.Options{
+		WindowSize:     s.cfg.WindowSize,
+		Engine:         core.EngineConcurrent,
+		Faults:         s.cfg.Faults,
+		Retry:          s.cfg.Retry,
+		VerifySampling: s.cfg.VerifySampling,
+		Tracer:         telemetry.FromContext(ctx),
+		FixedBase:      fb,
+	}
 }
 
 // VerifyingKey returns the registered circuit's verifying key.
