@@ -168,6 +168,52 @@ func TestStealPrefersLowestWindow(t *testing.T) {
 	}
 }
 
+// --- a run that cannot requeue parks nobody ---
+
+// TestDrainedWorkerLeavesFaultFreeRun pins the fault-free path's
+// quiescence: without an injector or a rejecting verification no shard
+// is ever requeued, stolen or speculated, so a worker whose queue is
+// drained returns for good instead of parking on the condition variable
+// (where every sibling commit, and a polling waker, would wake it for
+// nothing). A run that can fail a shard still parks.
+func TestDrainedWorkerLeavesFaultFreeRun(t *testing.T) {
+	c := mustCurve(t, "BN254")
+	plan, err := BuildPlan(c, cluster(t, 2), 64, Options{WindowSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Assignments = []Assignment{
+		{Window: 0, GPU: 0, BucketLo: 0, BucketHi: plan.Buckets},
+		{Window: 1, GPU: 1, BucketLo: 0, BucketHi: plan.Buckets},
+	}
+	s := newScheduler(plan, Options{})
+	if s.timed() {
+		t.Fatal("a run without injector or verification reports timed waits")
+	}
+	ctx := context.Background()
+	if task, _, _, err := s.next(ctx, 0); err != nil || task == nil {
+		t.Fatalf("first next = (%v, %v), want GPU 0's shard", task, err)
+	}
+	// GPU 1's shard is still outstanding, yet GPU 0 has nothing left.
+	done := make(chan *shardTask, 1)
+	go func() {
+		task, _, _, _ := s.next(ctx, 0)
+		done <- task
+	}()
+	select {
+	case task := <-done:
+		if task != nil {
+			t.Errorf("drained worker was handed window %d", task.a.Window)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("drained worker parked in a run that can never requeue")
+	}
+
+	if v := newScheduler(plan, Options{VerifySampling: 1}); !v.timed() {
+		t.Error("a run whose verification can reject a shard must keep its waker")
+	}
+}
+
 // --- tracing ---
 
 // TestTraceShardAllocFree pins the tentpole's zero-cost contract on the

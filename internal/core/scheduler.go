@@ -219,6 +219,12 @@ func newScheduler(plan *Plan, opts Options) *scheduler {
 	return s
 }
 
+// timed reports whether a worker that found nothing to run can be
+// handed work later: shards are requeued, stolen or speculated only
+// after a failure or a stall, and those need a fault injector or a
+// shard verification that can reject.
+func (s *scheduler) timed() bool { return s.inject || s.verifyP > 0 }
+
 func (s *scheduler) wake() {
 	s.mu.Lock()
 	s.cond.Broadcast()
@@ -240,8 +246,8 @@ func (s *scheduler) snapshot() FaultStats {
 // next blocks until GPU g has something to execute. It returns the task
 // with its execution index and whether this launch is speculative, or
 // (nil, err) on cancellation, or (nil, nil) when g is done for good
-// (all shards committed, a fatal error was recorded elsewhere, or g
-// itself was lost).
+// (all shards committed, a fatal error was recorded elsewhere, g
+// itself was lost, or g's queue is drained and nothing can refill it).
 func (s *scheduler) next(ctx context.Context, g int) (*shardTask, int, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,6 +275,12 @@ func (s *scheduler) next(ctx context.Context, g int) (*shardTask, int, bool, err
 				seq, spec := s.launchLocked(t, now, true)
 				return t, seq, spec, nil
 			}
+		}
+		if !s.timed() {
+			// Each shard runs once, on its assigned GPU: with its queue
+			// drained this worker is done, and parking it would only have
+			// every sibling's commit wake it to find that out again.
+			return nil, 0, false, nil
 		}
 		s.cond.Wait()
 	}
@@ -975,26 +987,30 @@ func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []big
 
 	// The waker unblocks workers parked in next() so backoff expiries,
 	// speculation deadlines and cancellation are all observed promptly.
-	tickDone := make(chan struct{})
-	var tickWG sync.WaitGroup
-	tickWG.Add(1)
-	go func() {
-		defer tickWG.Done()
-		tick := time.NewTicker(500 * time.Microsecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tickDone:
-				return
-			case <-tick.C:
-				sched.wake()
+	// Only a run that can fail or straggle a shard parks workers at all
+	// (see next); every other run is spared the timer and its wake-ups.
+	if sched.timed() {
+		tickDone := make(chan struct{})
+		var tickWG sync.WaitGroup
+		tickWG.Add(1)
+		go func() {
+			defer tickWG.Done()
+			tick := time.NewTicker(500 * time.Microsecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tickDone:
+					return
+				case <-tick.C:
+					sched.wake()
+				}
 			}
-		}
-	}()
-	defer func() {
-		close(tickDone)
-		tickWG.Wait()
-	}()
+		}()
+		defer func() {
+			close(tickDone)
+			tickWG.Wait()
+		}()
+	}
 
 	var (
 		statsMu   sync.Mutex
