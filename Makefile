@@ -4,16 +4,7 @@
 
 GO ?= go
 
-# Perf-regression harness: `make bench` runs the op-level
-# microbenchmarks (bigint kernels, field, curve) plus the end-to-end
-# BenchmarkReal* suite, and renders the results as BENCH_pr3.json with
-# before/after columns joined from the checked-in baseline
-# (bench/baseline_pr3.json, captured on the pre-unrolled-kernel tree).
-BENCH_BASELINE ?= bench/baseline_pr3.json
-BENCH_OUT      ?= BENCH_pr3.json
-BENCH_RAW      ?= bench_raw.txt
-
-.PHONY: all tier1 build vet test race lint bench bench-smoke batch-smoke pipeline-smoke fuzz-smoke service-smoke cluster-smoke outsource-smoke outsource-bench loadgen-smoke loadgen-bench examples
+.PHONY: all tier1 build vet test race lint bench bench-smoke fuzz-smoke service-smoke cluster-smoke outsource-smoke loadgen-smoke examples
 
 all: tier1
 
@@ -28,12 +19,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Static analysis: vet and the context-first guard always, staticcheck
-# when the binary is on PATH (CI installs it; local trees without it
-# still get the vet + ctxlint pass). ctxlint rejects new in-repo calls
-# to the deprecated ctx-less wrappers (see cmd/ctxlint).
+# Static analysis: vet always, staticcheck when the binary is on PATH
+# (CI installs it; local trees without it still get the vet pass).
 lint: vet
-	$(GO) run ./cmd/ctxlint .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -43,35 +31,19 @@ lint: vet
 race:
 	$(GO) test -race ./internal/core ./internal/msm ./internal/bigint ./internal/field ./internal/curve ./internal/service ./internal/cluster ./internal/groth16 ./internal/ntt ./internal/telemetry ./internal/outsource
 
+# The benchmark (cmd/bench, declared by BENCHMARK.json): ten seeded runs
+# of all four workloads, appended as JSON lines to .bench_out/bench.jsonl.
+# Compare two such files with `go run ./cmd/bench -compare a.jsonl b.jsonl`.
 bench:
-	@rm -f $(BENCH_RAW)
-	$(GO) test -bench=BenchmarkUnrolled -benchmem -run=^$$ ./internal/bigint | tee -a $(BENCH_RAW)
-	$(GO) test -bench='BenchmarkField(Mul|Ops)' -benchmem -run=^$$ ./internal/field | tee -a $(BENCH_RAW)
-	$(GO) test -bench='BenchmarkPACC|BenchmarkPADD' -benchmem -run=^$$ ./internal/curve | tee -a $(BENCH_RAW)
-	$(GO) test -bench='BenchmarkReal' -benchmem -run=^$$ -timeout 60m . | tee -a $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -out $(BENCH_OUT) < $(BENCH_RAW)
-	@echo wrote $(BENCH_OUT)
+	@mkdir -p .bench_out
+	for s in 1 2 3 4 5 6 7 8 9 10; do $(GO) run ./cmd/bench -seed $$s -out .bench_out/bench.jsonl || exit 1; done
 
-# One iteration of every microbenchmark: catches benchmarks that crash
+# A twentieth-length benchmark run that still checks every output, plus
+# one iteration of every microbenchmark: catches benchmarks that crash
 # or allocate unexpectedly without paying the full measurement cost (CI).
 bench-smoke:
+	$(GO) run ./cmd/bench -smoke
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/bigint ./internal/field ./internal/curve
-
-# Batch-throughput smoke: one small cached-vs-recompute batch cycle
-# through SubmitBatch. Fails if any job fails or the cached run did not
-# actually prove from the per-circuit base cache; the 1.5x amortized
-# speedup floor is only enforced on the full `go run ./cmd/batchbench`
-# (small smoke sizes are too noisy to gate on).
-batch-smoke:
-	$(GO) run ./cmd/batchbench -smoke
-
-# Pipeline-speedup smoke: one small phase-DAG prove vs the sequential
-# schedule on 8 simulated GPUs. Fails unless the proofs are
-# byte-identical, the quotient span overlaps a witness-MSM span, and the
-# pipelined modeled wall-clock beats sequential; the 25% reduction floor
-# at 2^14+ domains is enforced by the full `go run ./cmd/pipelinebench`.
-pipeline-smoke:
-	$(GO) run ./cmd/pipelinebench -smoke
 
 # Short differential-fuzz pass over the unrolled Montgomery kernels,
 # the service's wire-format parser, the /v1/msm shard evaluation
@@ -102,13 +74,6 @@ service-smoke:
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke
 
-# Full tail-latency benchmark matrix: steady load at two rates (with
-# and without injected GPU faults) plus the adversarial mix under FIFO
-# and under EDF+quota+shed. Writes BENCH_pr9.json and fails unless the
-# hardened policy cuts the trickle circuit's p999 by >= 2x vs FIFO.
-loadgen-bench:
-	$(GO) run ./cmd/loadgen -bench -out BENCH_pr9.json
-
 # Cluster failover smoke: a coordinator with two in-process worker
 # nodes over real loopback HTTP, one worker killed mid-batch (no
 # deregister — its lease must expire). Exits non-zero unless every job
@@ -124,13 +89,6 @@ cluster-smoke:
 # rejection actually fired.
 outsource-smoke:
 	$(GO) run ./cmd/coordinator -msm-smoke 4
-	$(GO) run ./cmd/outsourcebench -smoke
-
-# Full check-vs-recompute benchmark: constant-size acceptance at
-# 2^12..2^16 against full MSM recomputation. Writes BENCH_pr10.json and
-# fails unless the check is flat across sizes while recompute grows.
-outsource-bench:
-	$(GO) run ./cmd/outsourcebench -sizes 4096,16384,65536 -out BENCH_pr10.json
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -6,8 +6,8 @@
 // Serve mode (default) exposes the JSON API:
 //
 //	provd -gpus 8 -listen :8080 -constraints 512
-//	curl -s -X POST localhost:8080/prove -d '{"circuit":"synthetic","seed":7}'
-//	curl -s localhost:8080/healthz
+//	curl -s -X POST localhost:8080/v1/prove -d '{"circuit":"synthetic","seed":7}'
+//	curl -s localhost:8080/v1/healthz
 //
 // Cluster mode: -join makes this provd a worker node of a coordinator
 // (see internal/cluster and cmd/coordinator) — it registers, heartbeats
@@ -37,7 +37,7 @@
 //
 //	provd -gpus 4 -constraints 200 -smoke 6
 //
-// Observability: /metrics serves the Prometheus text exposition (job
+// Observability: /v1/metrics serves the Prometheus text exposition (job
 // latency, queue depth, fault/retry rates, per-GPU breaker states),
 // -trace-dir writes a Chrome trace_event JSON per job (open it in
 // chrome://tracing or https://ui.perfetto.dev), and -pprof mounts

@@ -32,9 +32,6 @@
 // unless the fault config forbids it, in which case ErrAllGPUsLost is
 // returned. WithRetryPolicy and WithVerifySampling tune the recovery.
 //
-// The Options-struct entry points (System.MSM, System.Estimate, ...)
-// are retained as deprecated wrappers; see README.md's MIGRATION table.
-//
 // The packages under internal/ hold the implementation: finite fields,
 // curves, the CPU Pippenger, the GPU performance model, the DistMSM
 // scheduler, tensor-core arithmetic, NTT, pairing and Groth16. See
@@ -66,12 +63,6 @@ type (
 	PointXYZZ = curve.PointXYZZ
 	// Scalar is a little-endian multi-precision MSM scalar.
 	Scalar = bigint.Nat
-	// Options configure a DistMSM execution (zero value = full DistMSM).
-	//
-	// Deprecated: new code should pass functional options (WithEngine,
-	// WithWindowBits, ...) to the *Context entry points instead of
-	// filling this struct. WithOptions bridges existing values.
-	Options = core.Options
 	// Result carries the MSM value, modeled cost, execution plan and
 	// the per-phase/per-GPU execution statistics.
 	Result = core.Result
@@ -96,9 +87,6 @@ type (
 	// RetryPolicy tunes the fault-tolerant scheduler's retry backoff,
 	// per-owner attempt budget and straggler-speculation deadline.
 	RetryPolicy = core.RetryPolicy
-	// VerifyMode selects the shard-verification check (see
-	// WithVerifyMode).
-	VerifyMode = core.VerifyMode
 	// Tracer is a fixed-capacity span ring that records the phases of an
 	// MSM execution (see WithTracer); its contents export as Chrome
 	// trace_event JSON via WriteChromeTrace / WriteChromeTraceFile.
@@ -135,18 +123,6 @@ const (
 	// the host bucket-reduce with later windows' bucket-sum (§3.2.3).
 	// It produces bit-identical results to EngineSerial.
 	EngineConcurrent = core.EngineConcurrent
-)
-
-// Shard-verification modes (WithVerifyMode).
-const (
-	// VerifyOutsource is the default: the constant-size 2G2T-style
-	// outsourced check (internal/outsource) — one aggregation pass with
-	// a secret sparse mask, acceptance cost independent of shard size.
-	VerifyOutsource = core.VerifyOutsource
-	// VerifyRecompute re-executes the sampled shard and compares 64-bit
-	// random linear combinations of the bucket accumulators; kept as the
-	// differential reference for the outsourced check.
-	VerifyRecompute = core.VerifyRecompute
 )
 
 // Kernel optimisation levels, in the cumulative Figure 12 order.
@@ -265,31 +241,18 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // WithVerifySampling sets the per-shard probability of result
 // verification. p = 0 restores the default: verify every shard when
 // corrupted-result injection is configured, none otherwise. A negative
-// p disables verification; p > 1 clamps to 1. The check that runs on a
-// sampled shard is selected by WithVerifyMode: by default the
-// constant-size outsourced check (aggregate the shard's references once
+// p disables verification; p > 1 clamps to 1. A sampled shard gets the
+// constant-size outsourced check: aggregate the shard's references once
 // with a secret sparse mask mixed in and compare against the folded
-// claim — no per-bucket recompute), or the full recompute-and-RLC
-// reference when VerifyRecompute is selected.
+// claim — no per-bucket recompute.
 func WithVerifySampling(p float64) Option {
 	return func(o *core.Options) { o.VerifySampling = p }
-}
-
-// WithVerifyMode selects the check WithVerifySampling runs on a sampled
-// shard: VerifyOutsource (default) is the 2G2T-style constant-size
-// check from internal/outsource; VerifyRecompute re-executes the shard
-// and compares 64-bit random linear combinations of the bucket
-// accumulators — the differential oracle the outsourced check is
-// validated against.
-func WithVerifyMode(m VerifyMode) Option {
-	return func(o *core.Options) { o.VerifyMode = m }
 }
 
 // WithVerifyMaskTerms sets the sparse-mask size s of the outsourced
 // shard check (0 = the internal/outsource default). A worker — or a
 // simulated fault — that consistently drops a fraction f of a shard's
-// work escapes one check with probability ~(1-f)^s. Ignored under
-// VerifyRecompute.
+// work escapes one check with probability ~(1-f)^s.
 func WithVerifyMaskTerms(s int) Option {
 	return func(o *core.Options) { o.VerifyMaskTerms = s }
 }
@@ -328,23 +291,6 @@ func WithPrecomputedBases(fb *FixedBase) Option {
 // Results are bit-identical to the plain path.
 func WithGLV(on bool) Option {
 	return func(o *core.Options) { o.GLV = on }
-}
-
-// WithOptions overlays a legacy Options struct wholesale — the
-// migration bridge for code still building core.Options values. The
-// struct's zero-valued Engine field cannot express a deliberate choice,
-// so the engine selected so far (the EngineConcurrent default, or an
-// earlier WithEngine) is preserved unless the struct names a non-zero
-// engine; combine with WithEngine(EngineSerial) to force the serial
-// reference.
-func WithOptions(legacy Options) Option {
-	return func(o *core.Options) {
-		engine := o.Engine
-		*o = legacy
-		if legacy.Engine == EngineSerial {
-			o.Engine = engine
-		}
-	}
 }
 
 // buildOptions resolves functional options over the *Context defaults.
@@ -436,33 +382,6 @@ func (s *System) EstimatePipelinedContext(ctx context.Context, c *CurveParams, n
 		return Cost{}, err
 	}
 	plan, err := core.BuildPlan(c, s.cluster, n, buildOptions(opts))
-	if err != nil {
-		return Cost{}, err
-	}
-	return plan.EstimatePipeline(count)
-}
-
-// MSM computes the MSM with an Options struct and no cancellation.
-//
-// Deprecated: use MSMContext with functional options. Unlike
-// MSMContext, MSM defaults to the serial engine (Options zero value).
-func (s *System) MSM(c *CurveParams, points []PointAffine, scalars []Scalar, opts Options) (*Result, error) {
-	return core.RunContext(context.Background(), c, s.cluster, points, scalars, opts)
-}
-
-// Estimate prices an N-point MSM with an Options struct.
-//
-// Deprecated: use EstimateContext with functional options.
-func (s *System) Estimate(c *CurveParams, n int, opts Options) (*Result, error) {
-	return core.Analytic(c, s.cluster, n, opts)
-}
-
-// EstimatePipelined prices `count` back-to-back MSMs with an Options
-// struct.
-//
-// Deprecated: use EstimatePipelinedContext with functional options.
-func (s *System) EstimatePipelined(c *CurveParams, n, count int, opts Options) (Cost, error) {
-	plan, err := core.BuildPlan(c, s.cluster, n, opts)
 	if err != nil {
 		return Cost{}, err
 	}

@@ -169,24 +169,6 @@ func TestPublicAPIMSMContext(t *testing.T) {
 	if !reflect.DeepEqual(ser.Point, conc.Point) {
 		t.Fatal("serial and concurrent engines disagree through the public API")
 	}
-
-	// The deprecated Options-struct wrapper still matches, and the
-	// WithOptions bridge carries a legacy struct into the new API.
-	old, err := sys.MSM(c, points, scalars, distmsm.Options{WindowSize: 9}) //ctxlint:allow (pinning the deprecated wrapper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.Point, conc.Point) {
-		t.Fatal("deprecated MSM wrapper diverged")
-	}
-	bridged, err := sys.MSMContext(ctx, c, points, scalars,
-		distmsm.WithOptions(distmsm.Options{WindowSize: 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bridged.Point, conc.Point) {
-		t.Fatal("WithOptions bridge diverged")
-	}
 }
 
 func TestPublicAPISentinelErrors(t *testing.T) {

@@ -88,7 +88,7 @@ type Config struct {
 	Faults *NodeInjector
 	// Metrics, when set, receives the coordinator's operational metrics
 	// (node states, heartbeat ages, redispatches, hedges, lost-node
-	// recoveries). The coordinator's Handler mounts it at /metrics.
+	// recoveries). The coordinator's Handler mounts it at /v1/metrics.
 	Metrics *telemetry.Registry
 	// MSMRandom supplies the secret randomness of the outsourced-MSM
 	// checks (see msm.go); nil uses crypto/rand.Reader. It must be safe
@@ -548,12 +548,16 @@ func (c *Coordinator) Prove(ctx context.Context, req ProveRequest) ([]byte, erro
 			c.mu.Unlock()
 			c.metrics.observeRedispatch()
 		}
-		proof, winner, err := c.dispatchHedged(ctx, n, probe, jobID, req, exclude)
+		proof, winner, sec, err := c.dispatchHedged(ctx, n, probe, jobID, req, exclude)
 		if err == nil {
-			if ok := c.verifyRemote(req, proof); !ok {
-				// Corrupted response: the winner produced garbage. Charge its
-				// breaker and re-dispatch elsewhere.
-				c.recordDispatch(winner, false, 0, req.Circuit)
+			// The winner is settled here, by the verdict: recording success
+			// on delivery would reset a lying node's failure streak and hand
+			// it the circuit's affinity before its proof was checked.
+			ok := c.verifyRemote(req, proof)
+			c.recordDispatch(winner, ok, sec, req.Circuit)
+			if !ok {
+				// Corrupted response: the winner produced garbage. Its
+				// breaker is charged; re-dispatch elsewhere.
 				c.mu.Lock()
 				c.stats.CorruptProofs++
 				c.mu.Unlock()
@@ -654,11 +658,11 @@ type dispatchOutcome struct {
 
 // hedgeAttempt is one launched dispatch inside dispatchHedged: its
 // target, its cancel, whether its admission consumed the node's
-// half-open probe slot, and whether its outcome was folded into the
-// breaker. Every launched attempt must end in exactly one of
-// recordDispatch or abandonment (which releases a held probe slot) —
-// an abandoned probe that kept its slot would leave the breaker
-// HalfOpen and the node unroutable forever.
+// half-open probe slot, and whether its outcome has been claimed. Every
+// launched attempt must end in exactly one of recordDispatch (for the
+// winner, by Prove at the verification verdict) or abandonment (which
+// releases a held probe slot) — an abandoned probe that kept its slot
+// would leave the breaker HalfOpen and the node unroutable forever.
 type hedgeAttempt struct {
 	n       *node
 	cancel  context.CancelFunc
@@ -672,8 +676,10 @@ type hedgeAttempt struct {
 // cancelled; both failing fails the attempt. Every node tried is added
 // to exclude so the outer loop never revisits it for this job.
 // primaryProbe says the primary's admission consumed its half-open
-// probe slot (see pickNode).
-func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primaryProbe bool, jobID uint64, req ProveRequest, exclude map[string]bool) ([]byte, *node, error) {
+// probe slot (see pickNode). The winner comes back unsettled, with its
+// dispatch seconds: the caller records its outcome once the proof has
+// been checked, which also returns a held probe slot.
+func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primaryProbe bool, jobID uint64, req ProveRequest, exclude map[string]bool) ([]byte, *node, float64, error) {
 	ch := make(chan dispatchOutcome, 2) // buffered: late losers never block
 	attempts := map[string]*hedgeAttempt{}
 	// abandon ends an attempt without a breaker outcome: cancel the
@@ -741,8 +747,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primary
 			outstanding--
 			a := attempts[out.n.id]
 			if out.err == nil {
-				a.settled = true
-				c.recordDispatch(out.n, true, out.sec, req.Circuit)
+				a.settled = true // by the caller, at the verdict
 				if out.hedged {
 					c.metrics.observeHedgeWin()
 					c.mu.Lock()
@@ -754,7 +759,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primary
 						abandon(other) // the loser's worker-side job is cancelled too
 					}
 				}
-				return out.proof, out.n, nil
+				return out.proof, out.n, out.sec, nil
 			}
 			if ctx.Err() == nil {
 				// A real node failure, not our own deadline propagating.
@@ -788,10 +793,10 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primary
 			}
 			// The launched goroutines unblock into the buffered channel and
 			// exit on their own; nothing leaks.
-			return nil, nil, ctx.Err()
+			return nil, nil, 0, ctx.Err()
 		}
 	}
-	return nil, nil, lastErr
+	return nil, nil, 0, lastErr
 }
 
 // Snapshot returns the node table's externally visible state, sorted by

@@ -513,6 +513,61 @@ func TestCorruptResponseRedispatch(t *testing.T) {
 	}
 }
 
+// TestProveAlwaysLyingNodeTrips is the prove-path twin of
+// TestMSMChaosAlwaysLyingNode: a node whose every proof fails
+// verification must be charged exactly one failure per dispatch, trip
+// its breaker after FailThreshold jobs, never hold a circuit's affinity,
+// and be skipped by the jobs after the trip.
+func TestProveAlwaysLyingNodeTrips(t *testing.T) {
+	const threshold = 3
+	good := []byte("proof-good")
+	local := &fakeLocal{proof: good}
+	clients := map[string]WorkerClient{
+		"liar":   proofClient([]byte("proof-garbage")),
+		"honest": proofClient(good),
+	}
+	c := newTestCoordinator(t, Config{
+		Local:    local,
+		Breaker:  BreakerConfig{FailThreshold: threshold, Cooldown: time.Hour},
+		HedgeMin: time.Hour,
+	}, clients)
+	mustRegister(t, c, "liar")
+	mustRegister(t, c, "honest")
+
+	liar := func() NodeSnapshot { return c.Snapshot()[0] }
+	// Distinct circuit names dodge the circuit-affinity fast path, so the
+	// least-loaded scan (registration order: liar first) offers every job
+	// to the liar until its breaker opens.
+	for i := 1; i <= 2*threshold; i++ {
+		circuit := fmt.Sprintf("c%d", i)
+		proof, err := c.Prove(context.Background(), ProveRequest{Circuit: circuit, Seed: int64(i), Timeout: 10 * time.Second})
+		if err != nil || !bytes.Equal(proof, good) {
+			t.Fatalf("job %d: proof %q err %v, want the honest node's", i, proof, err)
+		}
+		c.mu.Lock()
+		owner := c.affinity[circuit]
+		c.mu.Unlock()
+		if owner == "liar" {
+			t.Fatalf("job %d: circuit affinity points at the liar", i)
+		}
+		if i == threshold {
+			if st := c.Stats(); st.BreakerTrips < 1 {
+				t.Fatalf("after %d lies: %d breaker trips, want >= 1 (breaker %s)", i, st.BreakerTrips, liar().BreakerS)
+			}
+		}
+	}
+	n := liar()
+	if n.Failures != n.Dispatches {
+		t.Fatalf("liar: %d failures for %d dispatches, want one failure per dispatch", n.Failures, n.Dispatches)
+	}
+	if n.Dispatches != threshold {
+		t.Fatalf("liar dispatched %d times, want %d — jobs after the trip must skip it", n.Dispatches, threshold)
+	}
+	if got := local.proves.Load(); got != 0 {
+		t.Fatalf("%d jobs degraded to local despite an honest node", got)
+	}
+}
+
 // TestCoordinatorClose: a closed coordinator refuses new work and new
 // registrations, and Close is idempotent.
 func TestCoordinatorClose(t *testing.T) {

@@ -53,7 +53,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", c.handleStats)
 	if c.metrics != nil {
 		mux.Handle("/v1/metrics", c.metrics.reg.Handler())
-		mux.Handle("/metrics", c.metrics.reg.Handler())
 	}
 	return mux
 }

@@ -170,8 +170,16 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("node states %v, want 1 alive + 1 lost", states)
 	}
 
-	// The node-level metrics are on the wire.
+	// The node-level metrics are on the wire, under /v1/ only.
 	resp, err := http.Get(cts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics: HTTP %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(cts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -297,7 +298,7 @@ func TestRunMatchesReference(t *testing.T) {
 			{"tiny-window", 2, Options{WindowSize: 2}},
 			{"baseline-kernel", 2, Options{WindowSize: 8, Variant: kernel.VariantBaseline, VariantSet: true}},
 		} {
-			res, err := Run(c, cluster(t, tc.gpus), points, scalars, tc.opts)
+			res, err := RunContext(context.Background(), c, cluster(t, tc.gpus), points, scalars, tc.opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, tc.label, err)
 			}
@@ -318,16 +319,16 @@ func TestRunEdgeCases(t *testing.T) {
 	c := mustCurve(t, "BN254")
 	cl := cluster(t, 4)
 	// empty inputs are rejected with the typed sentinel
-	if _, err := Run(c, cl, nil, nil, Options{}); !errors.Is(err, ErrEmptyInput) {
+	if _, err := RunContext(context.Background(), c, cl, nil, nil, Options{}); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("empty MSM: want ErrEmptyInput, got %v", err)
 	}
 	// mismatch
-	if _, err := Run(c, cl, c.SamplePoints(2, 1), c.SampleScalars(1, 1), Options{}); err == nil {
+	if _, err := RunContext(context.Background(), c, cl, c.SamplePoints(2, 1), c.SampleScalars(1, 1), Options{}); err == nil {
 		t.Fatal("want length mismatch error")
 	}
 	// single element
 	pts := c.SamplePoints(1, 2)
-	res, err := Run(c, cl, pts, c.SampleScalars(1, 3), Options{WindowSize: 6})
+	res, err := RunContext(context.Background(), c, cl, pts, c.SampleScalars(1, 3), Options{WindowSize: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestRunMNT4753(t *testing.T) {
 	points := c.SamplePoints(n, 31)
 	scalars := c.SampleScalars(n, 32)
 	want := c.MSMReference(points, scalars)
-	res, err := Run(c, cluster(t, 8), points, scalars, Options{WindowSize: 9})
+	res, err := RunContext(context.Background(), c, cluster(t, 8), points, scalars, Options{WindowSize: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

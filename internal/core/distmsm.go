@@ -167,14 +167,6 @@ type Result struct {
 	Stats Stats
 }
 
-// Run executes DistMSM without cancellation support.
-//
-// Deprecated: use RunContext, which additionally honours a
-// context.Context and selects the execution engine via Options.Engine.
-func Run(c *curve.Curve, cl *gpusim.Cluster, points []curve.PointAffine, scalars []bigint.Nat, opts Options) (*Result, error) {
-	return RunContext(context.Background(), c, cl, points, scalars, opts)
-}
-
 // RunContext executes DistMSM functionally: it computes the exact MSM
 // result by running the real scatter/sum/reduce phases of the plan, and
 // prices the same work with the GPU cost model. Use Analytic for

@@ -46,7 +46,7 @@ func TestRunExtremeScalars(t *testing.T) {
 		{WindowSize: 13, Unsigned: true},
 		{WindowSize: 4, ForceNaiveScatter: true},
 	} {
-		res, err := Run(c, cl, points, scalars, opts)
+		res, err := RunContext(context.Background(), c, cl, points, scalars, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -65,7 +65,7 @@ func TestRunRejectsOverwideScalars(t *testing.T) {
 	w := (c.ScalarBits + 63) / 64
 	tooWide := bigint.New(w)
 	tooWide[w-1] = 1 << 62 // bit 254 == 2^λ
-	if _, err := Run(c, cl, points, []bigint.Nat{tooWide}, Options{WindowSize: 8}); err == nil {
+	if _, err := RunContext(context.Background(), c, cl, points, []bigint.Nat{tooWide}, Options{WindowSize: 8}); err == nil {
 		t.Fatal("over-wide scalar accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestRunDegeneratePointSets(t *testing.T) {
 	points := []curve.PointAffine{base, base, neg, {Inf: true}, base, neg, {Inf: true}, base}
 	scalars := c.SampleScalars(len(points), 103)
 	want := c.MSMReference(points, scalars)
-	res, err := Run(c, cl, points, scalars, Options{WindowSize: 8})
+	res, err := RunContext(context.Background(), c, cl, points, scalars, Options{WindowSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRunStatsConsistency(t *testing.T) {
 	n := 64
 	points := c.SamplePoints(n, 104)
 	scalars := c.SampleScalars(n, 105)
-	res, err := Run(c, cl, points, scalars, Options{WindowSize: 9, Unsigned: true, Workers: 1})
+	res, err := RunContext(context.Background(), c, cl, points, scalars, Options{WindowSize: 9, Unsigned: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,14 @@ import (
 	"distmsm/internal/r1cs"
 )
 
-// Cancellation coverage for the context-threaded prover pipeline: before
-// this PR only the MSM shards inside a context-aware MSMFunc observed
-// ctx — the NTT/QAP/quotient phases could not be cancelled or deadlined.
+// Cancellation coverage for the context-threaded prover pipeline: the
+// NTT/QAP/quotient phases observe ctx, not only the MSM shards inside a
+// context-aware MSM backend.
 
 // TestProveContextExpiredDeadline: a job already past its deadline must
-// return context.DeadlineExceeded from inside the prover itself. msmG1
-// is nil (the CPU Pippenger, which has no context at all), so the error
-// can only come from groth16's own phase-boundary checks.
+// return context.DeadlineExceeded from inside the prover itself. No G1
+// backend is set (the CPU Pippenger, which has no context at all), so
+// the error can only come from groth16's own phase-boundary checks.
 func TestProveContextExpiredDeadline(t *testing.T) {
 	e := newEngine(t)
 	cs, w := r1cs.BuildSynthetic(e.Fr, 60, 5)
@@ -28,7 +28,7 @@ func TestProveContextExpiredDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if _, err := e.ProveContext(ctx, cs, pk, w, rnd, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.ProveContextWith(ctx, cs, pk, w, rnd, Provers{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded from inside Prove, got %v", err)
 	}
 }
@@ -57,7 +57,7 @@ func TestProveContextCancelMidQuotient(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.ProveContext(ctx2, cs, pk, w, rnd, nil)
+		_, err := e.ProveContextWith(ctx2, cs, pk, w, rnd, Provers{})
 		done <- err
 	}()
 	cancel2()
@@ -69,7 +69,7 @@ func TestProveContextCancelMidQuotient(t *testing.T) {
 			t.Fatalf("want nil or context.Canceled, got %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled ProveContext did not return")
+		t.Fatal("cancelled ProveContextWith did not return")
 	}
 }
 

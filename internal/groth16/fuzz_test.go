@@ -27,7 +27,7 @@ func FuzzProofRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{})
 	if err != nil {
 		f.Fatal(err)
 	}

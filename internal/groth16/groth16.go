@@ -54,10 +54,6 @@ type Proof struct {
 	C curve.PointAffine
 }
 
-// MSMFunc computes a G1 multi-scalar multiplication; the prover calls it
-// for every G1 MSM so callers can route the work through DistMSM.
-type MSMFunc func(points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error)
-
 // MSMPhase identifies which proving-key column a G1 MSM runs over, so a
 // phase-aware backend (ProveContextWith) can swap in per-column
 // precomputed fixed-base tables.
@@ -85,52 +81,23 @@ func (p MSMPhase) String() string {
 	return "?"
 }
 
-// PhasedMSMFunc routes one G1 MSM, told which proving-key column the
-// point vector is. The scalars are witness-derived; the points are
-// always exactly the registered key column for the phase.
-type PhasedMSMFunc func(phase MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error)
-
-// PhasedMSMContextFunc is the ctx-aware form of PhasedMSMFunc. The
-// phase-DAG prover passes its per-proof group context, so the first
-// failing phase cancels the other phases' MSMs mid-flight instead of
-// merely before they start.
+// PhasedMSMContextFunc routes one G1 MSM, told which proving-key column
+// the point vector is. The scalars are witness-derived; the points are
+// always exactly the registered key column for the phase. The phase-DAG
+// prover passes its per-proof group context, so the first failing phase
+// cancels the other phases' MSMs mid-flight instead of merely before
+// they start.
 type PhasedMSMContextFunc func(ctx context.Context, phase MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error)
-
-// G2MSMFunc routes the prover's single G2 MSM (over pk.B2).
-//
-// Deprecated: implement G2MSMContextFunc instead — a G2MSMFunc cannot
-// observe cancellation, so a cancelled job runs the full pk.B2 MSM to
-// completion on the prover goroutine, and it has no way to report an
-// error.
-type G2MSMFunc func(points []pairing.G2Affine, scalars []*big.Int) pairing.G2Affine
 
 // G2MSMContextFunc routes the prover's single G2 MSM (over pk.B2),
 // honouring ctx and returning errors instead of swallowing them.
 type G2MSMContextFunc func(ctx context.Context, points []pairing.G2Affine, scalars []*big.Int) (pairing.G2Affine, error)
 
-// WrapG2MSM adapts the old ctx-less G2MSMFunc signature to the ctx-aware
-// form (the wrapped func still cannot observe cancellation mid-MSM; the
-// context is only checked before it runs).
-func WrapG2MSM(fn G2MSMFunc) G2MSMContextFunc {
-	return func(ctx context.Context, points []pairing.G2Affine, scalars []*big.Int) (pairing.G2Affine, error) {
-		if err := ctx.Err(); err != nil {
-			return pairing.G2Affine{Inf: true}, err
-		}
-		return fn(points, scalars), nil
-	}
-}
-
 // Provers bundles the MSM backends of one proof. Any field may be nil:
-// G1 falls back to the CPU Pippenger, G2 to the built-in cancellable
-// windowed G2 MSM. The ctx-aware forms (G1Ctx, G2Ctx) win over the
-// ctx-less ones when both are set.
+// G1Ctx falls back to the CPU Pippenger, G2Ctx to the built-in
+// cancellable windowed G2 MSM.
 type Provers struct {
-	G1    PhasedMSMFunc
 	G1Ctx PhasedMSMContextFunc
-	// G2 routes the prover's single G2 MSM.
-	//
-	// Deprecated: set G2Ctx so the MSM can be cancelled and can fail.
-	G2    G2MSMFunc
 	G2Ctx G2MSMContextFunc
 	// Pipeline, when non-nil, makes ProveContextWith execute the
 	// prover's phase DAG instead of its phase list: the quotient (on
@@ -153,18 +120,10 @@ type PipelineOptions struct {
 	OnPhase func(name string, d time.Duration)
 }
 
-// g1msm resolves the G1 backend in ctx-aware form.
+// g1msm resolves the G1 backend.
 func (e *Engine) g1msm(pr Provers) PhasedMSMContextFunc {
-	switch {
-	case pr.G1Ctx != nil:
+	if pr.G1Ctx != nil {
 		return pr.G1Ctx
-	case pr.G1 != nil:
-		return func(ctx context.Context, phase MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return pr.G1(phase, points, scalars)
-		}
 	}
 	return func(ctx context.Context, _ MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
 		if err := ctx.Err(); err != nil {
@@ -174,13 +133,10 @@ func (e *Engine) g1msm(pr Provers) PhasedMSMContextFunc {
 	}
 }
 
-// g2msm resolves the G2 backend in ctx-aware form.
+// g2msm resolves the G2 backend.
 func (e *Engine) g2msm(pr Provers) G2MSMContextFunc {
-	switch {
-	case pr.G2Ctx != nil:
+	if pr.G2Ctx != nil {
 		return pr.G2Ctx
-	case pr.G2 != nil:
-		return WrapG2MSM(pr.G2)
 	}
 	return func(ctx context.Context, points []pairing.G2Affine, scalars []*big.Int) (pairing.G2Affine, error) {
 		return e.P.G2.MSMContext(ctx, points, scalars)
@@ -275,25 +231,18 @@ func log2(n int) int {
 	return k
 }
 
-// Setup runs the (simulated) trusted setup for the constraint system,
-// sampling the toxic waste from rnd and discarding it.
-//
-// Deprecated: long-running services should use SetupContext so a setup
-// for a large circuit can be cancelled or deadlined.
-func (e *Engine) Setup(cs *r1cs.System, rnd *rand.Rand) (*ProvingKey, *VerifyingKey, error) {
-	return e.SetupContext(context.Background(), cs, rnd)
-}
-
 // setupCancelStride is how many per-variable key elements SetupContext
 // computes between context checks. Each element is several hundred curve
 // operations, so a stride of 64 bounds the cancellation latency to a few
 // milliseconds without measurable overhead.
 const setupCancelStride = 64
 
-// SetupContext runs the trusted setup, honouring ctx between the QAP
-// evaluation, the per-variable key-element loops (checked every
-// setupCancelStride variables) and the Z-power loop. A cancelled setup
-// returns ctx.Err() and the partial keys are discarded.
+// SetupContext runs the (simulated) trusted setup for the constraint
+// system, sampling the toxic waste from rnd and discarding it. It
+// honours ctx between the QAP evaluation, the per-variable key-element
+// loops (checked every setupCancelStride variables) and the Z-power
+// loop. A cancelled setup returns ctx.Err() and the partial keys are
+// discarded.
 func (e *Engine) SetupContext(ctx context.Context, cs *r1cs.System, rnd *rand.Rand) (*ProvingKey, *VerifyingKey, error) {
 	fr := e.Fr
 	d := 1
@@ -417,43 +366,23 @@ func phaseSpan(tr *telemetry.Tracer, name string, track telemetry.Track, start t
 		Start: start, Dur: time.Since(start)})
 }
 
-// Prove generates a proof for the witness. msmG1 routes the prover's G1
-// multi-scalar multiplications (nil = CPU Pippenger).
+// ProveContextWith generates a proof for the witness, honouring ctx
+// through the whole pipeline: the witness check, the quotient's coset
+// NTTs (cancellation between butterfly passes), and every G1/G2 MSM
+// phase boundary. A cancelled or deadlined proof returns ctx.Err() —
+// with an expired deadline that is context.DeadlineExceeded from inside
+// the prover itself, independent of whether the MSM backends observe
+// the context.
 //
-// Deprecated: long-running services should use ProveContext, which
-// additionally honours a context.Context at every phase boundary (NTT
-// passes, QAP/quotient phases, each MSM) — not just inside a
-// context-aware msmG1.
-func (e *Engine) Prove(cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, msmG1 MSMFunc) (*Proof, error) {
-	return e.ProveContext(context.Background(), cs, pk, witness, rnd, msmG1)
-}
-
-// ProveContext generates a proof for the witness, honouring ctx through
-// the whole pipeline: the witness check, the quotient's six coset NTTs
-// (cancellation between butterfly passes), and every G1/G2 MSM phase
-// boundary. A cancelled or deadlined proof returns ctx.Err() — with an
-// expired deadline that is context.DeadlineExceeded from inside the
-// prover itself, independent of whether msmG1 observes the context.
-// msmG1 routes the prover's G1 MSMs (nil = CPU Pippenger).
-func (e *Engine) ProveContext(ctx context.Context, cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, msmG1 MSMFunc) (*Proof, error) {
-	var pr Provers
-	if msmG1 != nil {
-		pr.G1 = func(_ MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
-			return msmG1(points, scalars)
-		}
-	}
-	return e.ProveContextWith(ctx, cs, pk, witness, rnd, pr)
-}
-
-// ProveContextWith is ProveContext with phase-aware MSM routing: the G1
-// backend learns which proving-key column each MSM is over (so cached
-// per-column fixed-base tables apply), and the G2 MSM over pk.B2 is
-// routable too. Zero-valued Provers fields select the CPU defaults.
-// With pr.Pipeline set the prover executes its phase DAG (see
-// ProvePipelinedContext) instead of the sequential phase list.
+// MSM routing is phase-aware: the G1 backend learns which proving-key
+// column each MSM is over (so cached per-column fixed-base tables
+// apply), and the G2 MSM over pk.B2 is routable too. Zero-valued Provers
+// fields select the CPU defaults. With pr.Pipeline set the prover
+// executes its phase DAG (see provePipelined) instead of the sequential
+// phase list.
 func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, pr Provers) (*Proof, error) {
 	if pr.Pipeline != nil {
-		return e.ProvePipelinedContext(ctx, cs, pk, witness, rnd, pr, *pr.Pipeline)
+		return e.provePipelined(ctx, cs, pk, witness, rnd, pr, *pr.Pipeline)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

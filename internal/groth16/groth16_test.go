@@ -37,7 +37,7 @@ func TestProveVerifyProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestProveRejectsBadWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cs.NewWitness() // all zeros except the one: violates constraints
-	if _, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil); err == nil {
+	if _, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{}); err == nil {
 		t.Fatal("prover accepted an unsatisfying witness")
 	}
 }
@@ -104,7 +104,7 @@ func TestSyntheticCircuitSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+		proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -134,15 +134,15 @@ func TestProveWithDistMSM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var modeled float64
-	msmFn := func(points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
-		res, err := core.RunContext(context.Background(), e.P.Curve, cl, points, scalars, core.Options{WindowSize: 8})
+	msmFn := func(ctx context.Context, _ MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
+		res, err := core.RunContext(ctx, e.P.Curve, cl, points, scalars, core.Options{WindowSize: 8})
 		if err != nil {
 			return nil, err
 		}
 		modeled += res.Cost.Total()
 		return res.Point, nil
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, msmFn)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{G1Ctx: msmFn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestProofDeterministicVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := e.ProveContext(context.Background(), cs, pk, w, rand.New(rand.NewSource(100)), nil)
+	p1, err := e.ProveContextWith(context.Background(), cs, pk, w, rand.New(rand.NewSource(100)), Provers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.ProveContext(context.Background(), cs, pk, w, rand.New(rand.NewSource(200)), nil)
+	p2, err := e.ProveContextWith(context.Background(), cs, pk, w, rand.New(rand.NewSource(200)), Provers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkProve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil); err != nil {
+		if _, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestProofAndKeySerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{})
 	if err != nil {
 		t.Fatal(err)
 	}

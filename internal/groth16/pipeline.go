@@ -84,15 +84,15 @@ func (g *phaseGroup) Wait() error {
 	return g.err
 }
 
-// ProvePipelinedContext generates a proof by executing the prover's
-// phase DAG: quotient ∥ {msm-A, msm-B2, msm-B1, msm-K}, then msm-Z as
-// soon as the quotient lands. The proof bytes are identical to
-// ProveContextWith's sequential schedule (see the package comment
-// above); only the wall-clock schedule differs. A failing phase cancels
-// every other phase's context, and the error — annotated with the phase
-// name — is returned once all phase goroutines have exited, so the
-// caller never leaks a running phase.
-func (e *Engine) ProvePipelinedContext(ctx context.Context, cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, pr Provers, opt PipelineOptions) (*Proof, error) {
+// provePipelined generates a proof by executing the prover's phase DAG:
+// quotient ∥ {msm-A, msm-B2, msm-B1, msm-K}, then msm-Z as soon as the
+// quotient lands. The proof bytes are identical to ProveContextWith's
+// sequential schedule (see the package comment above); only the
+// wall-clock schedule differs. A failing phase cancels every other
+// phase's context, and the error — annotated with the phase name — is
+// returned once all phase goroutines have exited, so the caller never
+// leaks a running phase.
+func (e *Engine) provePipelined(ctx context.Context, cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, pr Provers, opt PipelineOptions) (*Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

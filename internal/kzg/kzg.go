@@ -30,7 +30,8 @@ type SRS struct {
 // Degree returns the largest committable polynomial degree.
 func (s *SRS) Degree() int { return len(s.G1) - 1 }
 
-// MSMFunc routes the commitment MSMs (same shape as groth16.MSMFunc).
+// MSMFunc computes one commitment MSM; Scheme.MSM takes one to route
+// commitments through DistMSM.
 type MSMFunc func(points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error)
 
 // Scheme is a KZG commitment engine.

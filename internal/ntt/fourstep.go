@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"context"
 	"fmt"
 
 	"distmsm/internal/field"
@@ -37,6 +38,7 @@ func (d *Domain) FourStep(a []field.Element, n1, n2 int) ([]field.Element, error
 		return nil, err
 	}
 
+	ctx := context.Background()
 	// Step 1: column NTTs of size n1 (column i2 = elements i1·n2 + i2).
 	work := make([]field.Element, d.N)
 	col := make([]field.Element, n1)
@@ -44,7 +46,9 @@ func (d *Domain) FourStep(a []field.Element, n1, n2 int) ([]field.Element, error
 		for i1 := 0; i1 < n1; i1++ {
 			col[i1] = a[i1*n2+i2].Clone()
 		}
-		d1.Forward(col[:n1])
+		if err := d1.ForwardContext(ctx, col[:n1]); err != nil {
+			return nil, err
+		}
 		for k1 := 0; k1 < n1; k1++ {
 			work[k1*n2+i2] = col[k1]
 			col[k1] = f.NewElement() // fresh storage for the next column
@@ -68,7 +72,9 @@ func (d *Domain) FourStep(a []field.Element, n1, n2 int) ([]field.Element, error
 
 	// Step 3: row NTTs of size n2 (contiguous).
 	for k1 := 0; k1 < n1; k1++ {
-		d2.Forward(work[k1*n2 : (k1+1)*n2])
+		if err := d2.ForwardContext(ctx, work[k1*n2:(k1+1)*n2]); err != nil {
+			return nil, err
+		}
 	}
 
 	// Step 4: transpose read-out: X[k1 + n1·k2] = work[k1·n2 + k2].

@@ -61,26 +61,14 @@ func NewDomain(f *field.Field, n int) (*Domain, error) {
 	return d, nil
 }
 
-// Forward computes the in-place NTT of a (natural order in, natural order
-// out): a[j] ← Σ_i a[i]·ω^(ij).
-//
-// Deprecated: long-running provers should use ForwardContext so the
-// transform can be cancelled or deadlined between butterfly passes.
-func (d *Domain) Forward(a []field.Element) { _ = d.ForwardContext(context.Background(), a) }
-
-// ForwardContext computes the in-place NTT of a, honouring ctx between
+// ForwardContext computes the in-place NTT of a (natural order in,
+// natural order out): a[j] ← Σ_i a[i]·ω^(ij). It honours ctx between
 // butterfly passes: a size-N transform checks the context log2(N)+1
 // times, so a cancellation or deadline lands within one pass (O(N) work)
 // instead of waiting out the whole transform.
 func (d *Domain) ForwardContext(ctx context.Context, a []field.Element) error {
 	return d.transform(ctx, a, d.root)
 }
-
-// Inverse computes the in-place inverse NTT.
-//
-// Deprecated: long-running provers should use InverseContext so the
-// transform can be cancelled or deadlined between butterfly passes.
-func (d *Domain) Inverse(a []field.Element) { _ = d.InverseContext(context.Background(), a) }
 
 // InverseContext computes the in-place inverse NTT, honouring ctx
 // between butterfly passes (see ForwardContext).
@@ -96,28 +84,12 @@ func (d *Domain) InverseContext(ctx context.Context, a []field.Element) error {
 	return nil
 }
 
-// CosetForward evaluates the polynomial on the coset g·⟨ω⟩: it shifts the
-// coefficients by powers of g, then transforms.
-//
-// Deprecated: long-running provers should use CosetForwardContext so the
-// transform can be cancelled or deadlined between butterfly passes.
-func (d *Domain) CosetForward(a []field.Element) {
-	_ = d.CosetForwardContext(context.Background(), a)
-}
-
-// CosetForwardContext evaluates the polynomial on the coset g·⟨ω⟩,
-// honouring ctx between butterfly passes (see ForwardContext).
+// CosetForwardContext evaluates the polynomial on the coset g·⟨ω⟩ — it
+// shifts the coefficients by powers of g, then transforms — honouring
+// ctx between butterfly passes (see ForwardContext).
 func (d *Domain) CosetForwardContext(ctx context.Context, a []field.Element) error {
 	d.shift(a, d.gen)
 	return d.ForwardContext(ctx, a)
-}
-
-// CosetInverse interpolates from the coset g·⟨ω⟩ back to coefficients.
-//
-// Deprecated: long-running provers should use CosetInverseContext so the
-// transform can be cancelled or deadlined between butterfly passes.
-func (d *Domain) CosetInverse(a []field.Element) {
-	_ = d.CosetInverseContext(context.Background(), a)
 }
 
 // CosetInverseContext interpolates from the coset g·⟨ω⟩ back to
@@ -213,14 +185,20 @@ func (d *Domain) MulPolys(a, b []field.Element) ([]field.Element, error) {
 			pb[i].Set(b[i])
 		}
 	}
-	d.Forward(pa)
-	d.Forward(pb)
+	ctx := context.Background()
+	for _, p := range [][]field.Element{pa, pb} {
+		if err := d.ForwardContext(ctx, p); err != nil {
+			return nil, err
+		}
+	}
 	tmp := f.NewElement()
 	for i := range pa {
 		f.Mul(tmp, pa[i], pb[i])
 		pa[i].Set(tmp)
 	}
-	d.Inverse(pa)
+	if err := d.InverseContext(ctx, pa); err != nil {
+		return nil, err
+	}
 	return pa, nil
 }
 

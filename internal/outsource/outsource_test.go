@@ -6,6 +6,7 @@ import (
 
 	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
+	"distmsm/internal/msm"
 )
 
 func testCurve(t *testing.T) *curve.Curve {
@@ -36,6 +37,48 @@ func TestHonestWorkerAccepted(t *testing.T) {
 	chal := c.MSMReference(points, ck.Challenge())
 	if !ck.Verify(q, chal) {
 		t.Fatal("honest claims rejected")
+	}
+}
+
+// TestCheckCostIndependentOfN pins what makes the check cheaper than
+// recomputing the MSM, without timing it: at every instance size the
+// Check keeps exactly Params().MaskTerms base points, and Verify never
+// reads the caller's base vector — it still accepts an honest claim
+// after every point the caller passed in has been overwritten.
+func TestCheckCostIndependentOfN(t *testing.T) {
+	c := testCurve(t)
+	for _, n := range []int{16, 4096} {
+		points := c.SamplePoints(n, uint64(n))
+		scalars := c.SampleScalars(n, int64(n)+1)
+		ck, err := NewCheck(c, points, scalars, Params{}, NewSeededReader(uint64(n)))
+		if err != nil {
+			t.Fatalf("n=%d: NewCheck: %v", n, err)
+		}
+		if s := ck.Params().MaskTerms; s != DefaultMaskTerms || len(ck.maskPts) != s {
+			t.Fatalf("n=%d: check keeps %d base points for MaskTerms %d, want %d",
+				n, len(ck.maskPts), s, DefaultMaskTerms)
+		}
+		claim, err := msm.MSM(c, points, scalars, msm.Config{Signed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := *c
+		wide.ScalarBits = ck.ChallengeBits()
+		chal, err := msm.MSM(&wide, points, ck.Challenge(), msm.Config{Signed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range points {
+			for _, e := range []bigint.Nat{points[i].X, points[i].Y} {
+				for w := range e {
+					e[w] = ^uint64(0)
+				}
+			}
+			points[i].Inf = true
+		}
+		if !ck.Verify(claim, chal) {
+			t.Fatalf("n=%d: honest claim rejected once the caller's points were overwritten", n)
+		}
 	}
 }
 

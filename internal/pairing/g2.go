@@ -236,19 +236,9 @@ func (g *G2) Equal(p, q *G2Affine) bool {
 	return g.T.E2Equal(&p.X, &q.X) && g.T.E2Equal(&p.Y, &q.Y)
 }
 
-// MSM computes Σ k_i·Q_i with a windowed Pippenger over G2 (the prover's
-// second MSM; window fixed at 8 bits, adequate for the functional sizes).
-//
-// Deprecated: long-running provers should use MSMContext so a cancelled
-// job does not run the full G2 MSM to completion on the caller
-// goroutine.
-func (g *G2) MSM(points []G2Affine, scalars []*big.Int) G2Affine {
-	res, _ := g.MSMContext(context.Background(), points, scalars)
-	return res
-}
-
-// MSMContext computes Σ k_i·Q_i with a windowed Pippenger over G2,
-// honouring ctx at every window boundary and every 64 scalars inside the
+// MSMContext computes Σ k_i·Q_i with a windowed Pippenger over G2 (the
+// prover's second MSM; window fixed at 8 bits, adequate for the
+// functional sizes), honouring ctx at every window boundary and every 64 scalars inside the
 // scatter loop, so a cancellation lands within O(64) bucket additions
 // instead of waiting out the whole MSM.
 func (g *G2) MSMContext(ctx context.Context, points []G2Affine, scalars []*big.Int) (G2Affine, error) {

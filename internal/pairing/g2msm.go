@@ -196,24 +196,14 @@ func signedDigitsBig(k *big.Int, bits, s int, out []int32) []int32 {
 	return out
 }
 
-// MSM computes Σ k_i·Q_i through the tables: every window's signed
-// digits accumulate into one shared bucket array (merged single-window
-// evaluation — no doublings), and the running-suffix bucket reduce stays
-// in Jacobian coordinates, so the whole MSM costs exactly one Fp2
-// inversion (the final normalisation). Scalars wider than the
-// precomputed width are truncated — callers pass reduced field scalars.
-//
-// Deprecated: long-running provers should use MSMContext so a cancelled
-// job does not run the full G2 MSM to completion on the caller
-// goroutine.
-func (p *G2Precomputed) MSM(scalars []*big.Int) G2Affine {
-	res, _ := p.MSMContext(context.Background(), scalars)
-	return res
-}
-
-// MSMContext computes Σ k_i·Q_i through the tables, honouring ctx every
-// 64 scalars inside the scatter loop (the bucket reduce after it is
-// O(2^(s-1)), too short to matter).
+// MSMContext computes Σ k_i·Q_i through the tables: every window's
+// signed digits accumulate into one shared bucket array (merged
+// single-window evaluation — no doublings), and the running-suffix
+// bucket reduce stays in Jacobian coordinates, so the whole MSM costs
+// exactly one Fp2 inversion (the final normalisation). Scalars wider
+// than the precomputed width are truncated — callers pass reduced field
+// scalars. ctx is honoured every 64 scalars inside the scatter loop (the
+// bucket reduce after it is O(2^(s-1)), too short to matter).
 func (p *G2Precomputed) MSMContext(ctx context.Context, scalars []*big.Int) (G2Affine, error) {
 	g := p.g
 	t := g.T

@@ -94,8 +94,7 @@ func TestG2PrecomputedMSMMatchesWindowed(t *testing.T) {
 
 // TestG2MSMContextCancel: both G2 MSM forms observe a dead context —
 // the windowed MSM between windows/scalars, the precomputed MSM inside
-// its scatter loop — and the deprecated ctx-less wrappers still return
-// the same points as the context forms on a live context.
+// its scatter loop — and agree with each other on a live context.
 func TestG2MSMContextCancel(t *testing.T) {
 	e := engine(t)
 	g2 := e.G2
@@ -122,10 +121,11 @@ func TestG2MSMContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g2.MSM(points, scalars); !g2.Equal(&got, &want) { //ctxlint:allow — deprecated wrapper parity
-		t.Fatal("deprecated G2.MSM wrapper disagrees with MSMContext")
+	got, err := pre.MSMContext(context.Background(), scalars)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := pre.MSM(scalars); !g2.Equal(&got, &want) { //ctxlint:allow — deprecated wrapper parity
-		t.Fatal("deprecated G2Precomputed.MSM wrapper disagrees with MSMContext")
+	if !g2.Equal(&got, &want) {
+		t.Fatal("precomputed G2 MSM disagrees with the windowed MSM")
 	}
 }

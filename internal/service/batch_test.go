@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"distmsm/internal/groth16"
 )
 
 // TestSubmitBatchCoalescesAndHitsCache: a batch of same-circuit jobs is
@@ -128,34 +130,43 @@ func TestBaseCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestBatchProofBytesMatchCPUReference: proofs produced through the
-// cached fixed-base/GLV multi-GPU path marshal byte-identically to the
-// plain CPU-Pippenger prover over the same witness and randomness.
+// cached fixed-base/GLV multi-GPU path — and through the same service
+// with the base cache disabled — marshal byte-identically to the plain
+// CPU-Pippenger prover over the same witness and randomness.
 func TestBatchProofBytesMatchCPUReference(t *testing.T) {
-	svc := newTestService(t, 2, 64, nil)
-	defer shutdownClean(t, svc)
-	ctx := context.Background()
-	for seed := int64(1); seed <= 3; seed++ {
-		job, err := svc.Submit(Request{Circuit: "synthetic", Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		proof, err := job.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.mu.Lock()
-		c := svc.circuits["synthetic"]
-		svc.mu.Unlock()
-		w, err := c.witness(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := svc.eng.ProveContext(ctx, c.cs, c.pk, w, rand.New(rand.NewSource(seed)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(svc.eng.MarshalProof(proof), svc.eng.MarshalProof(ref)) {
-			t.Fatalf("seed %d: cached-path proof bytes differ from CPU reference", seed)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"cached", nil},
+		{"cache disabled", func(c *Config) { c.DisableBaseCache = true }},
+	} {
+		svc := newTestService(t, 2, 64, tc.mutate)
+		defer shutdownClean(t, svc)
+		ctx := context.Background()
+		for seed := int64(1); seed <= 3; seed++ {
+			job, err := svc.Submit(Request{Circuit: "synthetic", Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, err := job.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.mu.Lock()
+			c := svc.circuits["synthetic"]
+			svc.mu.Unlock()
+			w, err := c.witness(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := svc.eng.ProveContextWith(ctx, c.cs, c.pk, w, rand.New(rand.NewSource(seed)), groth16.Provers{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(svc.eng.MarshalProof(proof), svc.eng.MarshalProof(ref)) {
+				t.Fatalf("%s, seed %d: service proof bytes differ from CPU reference", tc.name, seed)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distmsm/internal/gpusim"
+	"distmsm/internal/groth16"
 )
 
 // TestChaos is the service's acceptance gauntlet: a fleet of jobs runs
@@ -55,8 +56,8 @@ func TestChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proof, err := svc.eng.ProveContext(context.Background(), circ.cs, circ.pk, w,
-			rand.New(rand.NewSource(seed)), nil)
+		proof, err := svc.eng.ProveContextWith(context.Background(), circ.cs, circ.pk, w,
+			rand.New(rand.NewSource(seed)), groth16.Provers{})
 		if err != nil {
 			t.Fatal(err)
 		}

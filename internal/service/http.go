@@ -60,11 +60,6 @@ import (
 //	                            from the coordinator's secret challenge
 //	                            instance (see cluster.go and
 //	                            internal/outsource).
-//
-// The unversioned paths (/prove, /healthz, /stats, /metrics) are legacy
-// aliases of the v1 handlers, kept for existing clients; new clients
-// should use /v1/. There is no unversioned /batch — the endpoint was
-// born versioned.
 
 // maxJobTimeout caps client-requested deadlines so one request cannot
 // pin a worker for an hour.
@@ -151,8 +146,7 @@ func ParseBatchRequest(body []byte) ([]Request, error) {
 }
 
 // Handler returns the service's HTTP API (see the wire-schema block at
-// the top of this file): the versioned /v1/ surface plus unversioned
-// legacy aliases for the endpoints that predate versioning.
+// the top of this file).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/prove", s.handleProve)
@@ -161,13 +155,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/cluster/dispatch", s.handleClusterDispatch)
 	mux.HandleFunc("/v1/msm", s.handleMSM)
-	// Legacy aliases, same handlers.
-	mux.HandleFunc("/prove", s.handleProve)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
 	if s.metrics != nil {
 		mux.Handle("/v1/metrics", s.metrics.reg.Handler())
-		mux.Handle("/metrics", s.metrics.reg.Handler())
 	}
 	return mux
 }

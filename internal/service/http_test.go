@@ -18,14 +18,14 @@ func TestHTTPProveRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/prove", "application/json",
+	resp, err := http.Post(srv.URL+"/v1/prove", "application/json",
 		strings.NewReader(`{"circuit":"synthetic","seed":11}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /prove: status %d", resp.StatusCode)
+		t.Fatalf("POST /v1/prove: status %d", resp.StatusCode)
 	}
 	var out struct {
 		JobID uint64 `json:"job_id"`
@@ -56,7 +56,7 @@ func TestHTTPProveRoundTrip(t *testing.T) {
 	}
 
 	// Error mapping: unknown circuit → 404, malformed body → 400.
-	resp, err = http.Post(srv.URL+"/prove", "application/json", strings.NewReader(`{"circuit":"nope"}`))
+	resp, err = http.Post(srv.URL+"/v1/prove", "application/json", strings.NewReader(`{"circuit":"nope"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestHTTPProveRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown circuit: status %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Post(srv.URL+"/prove", "application/json", strings.NewReader(`{`))
+	resp, err = http.Post(srv.URL+"/v1/prove", "application/json", strings.NewReader(`{`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHTTPProveRoundTrip(t *testing.T) {
 	}
 
 	// Health and stats endpoints respond with JSON.
-	for _, path := range []string{"/healthz", "/stats"} {
+	for _, path := range []string{"/v1/healthz", "/v1/stats"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -92,8 +92,8 @@ func TestHTTPProveRoundTrip(t *testing.T) {
 
 // TestHTTPBatchRoundTrip drives POST /v1/batch end to end: the response
 // lists one entry per job in request order, each proof verifies, and
-// the batch shows up as base-cache hits. Also pins the versioned /v1/
-// aliases and the batch error mapping.
+// the batch shows up as base-cache hits. Also pins the batch error
+// mapping and that the API is served only under /v1/.
 func TestHTTPBatchRoundTrip(t *testing.T) {
 	check := leakCheck(t)
 	// A 2-GPU cluster is one scheduling node → 1 worker and a depth-2
@@ -165,24 +165,24 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		t.Fatalf("BaseCacheHits = %d after HTTP batch, want %d", st.BaseCacheHits, n)
 	}
 
-	// The v1 prove alias serves the same handler as the legacy path.
-	resp, err = http.Post(srv.URL+"/v1/prove", "application/json",
+	// The unversioned paths are not served.
+	resp, err = http.Post(srv.URL+"/prove", "application/json",
 		strings.NewReader(`{"circuit":"synthetic","seed":9}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/prove: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /prove: status %d, want 404", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/healthz", "/v1/stats"} {
+	for _, path := range []string{"/healthz", "/stats"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 

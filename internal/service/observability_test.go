@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -99,6 +100,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics: status %d, want 404 (served only under /v1/)", resp.StatusCode)
+	}
+	resp, err = srv.Client().Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

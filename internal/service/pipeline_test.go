@@ -80,7 +80,7 @@ func TestServicePipelinedProveParity(t *testing.T) {
 
 	srv := httptest.NewServer(pip.Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	resp, err := srv.Client().Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 //     Submit (queue wait included), propagated as a context.Context
 //     through witness generation, the quotient's coset NTTs, the MSM
 //     shards and every Groth16 phase boundary. A job that blows its
-//     deadline in the queue fails inside groth16.ProveContext with
+//     deadline in the queue fails inside groth16.ProveContextWith with
 //     context.DeadlineExceeded, exactly like one that blows it mid-MSM.
 //   - Cross-request GPU health: one gpusim.HealthRegistry shared by all
 //     jobs. A device that keeps dying or corrupting results is
@@ -206,7 +206,7 @@ type Config struct {
 	// against each MSM phase's EWMA cost at the phase boundary. Off by
 	// default: shedding pre-empts the documented guarantee that an
 	// expired job's DeadlineExceeded surfaces from inside
-	// groth16.ProveContext, so it is an explicit opt-in.
+	// groth16.ProveContextWith, so it is an explicit opt-in.
 	ShedDoomed bool
 	// MemoryBudget bounds the summed memory estimates of queued and
 	// in-flight jobs plus the resident fixed-base tables (circuit and
@@ -253,7 +253,7 @@ type Config struct {
 	// job outcomes and latency, queue depth, admission rejects, deadline
 	// misses, the scheduler's fault/retry/steal/speculation rates and
 	// per-GPU breaker-state gauges. Expose it with Registry.Handler (the
-	// service's Handler mounts it at /metrics automatically). Nil
+	// service's Handler mounts it at /v1/metrics automatically). Nil
 	// disables metrics at the cost of a nil check per event.
 	Metrics *telemetry.Registry
 	// TraceDir, when set, records a span trace of every job's proving
@@ -1206,7 +1206,7 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 		return nil, err
 	}
 	// No pre-flight deadline check here: a job that is already past its
-	// deadline must fail from inside groth16.ProveContext (its entry
+	// deadline must fail from inside groth16.ProveContextWith (its entry
 	// cancellation point), proving the context reaches the pipeline.
 	pr := groth16.Provers{
 		// The ctx-aware form: the pipelined prover passes its per-proof

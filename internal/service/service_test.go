@@ -230,7 +230,7 @@ func TestMemoryBudgetAdmission(t *testing.T) {
 // TestDeadlineExceededFromInsideProve is the end-to-end deadline
 // acceptance criterion: a job accepted with an already-elapsed deadline
 // reaches a worker and fails with context.DeadlineExceeded surfacing
-// from groth16.ProveContext's own cancellation points — the service
+// from groth16.ProveContextWith's own cancellation points — the service
 // layer does not pre-filter it.
 func TestDeadlineExceededFromInsideProve(t *testing.T) {
 	check := leakCheck(t)

@@ -320,7 +320,7 @@ func joinLabels(a, b string) string {
 }
 
 // Handler returns an http.Handler serving the registry in the
-// Prometheus text format — the /metrics endpoint.
+// Prometheus text format — the /v1/metrics endpoint.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -112,7 +112,7 @@ func TestSmallInstanceProvesForReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := e.ProveContext(context.Background(), cs, pk, w, rnd, nil)
+	proof, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, groth16.Provers{})
 	if err != nil {
 		t.Fatal(err)
 	}

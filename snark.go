@@ -74,24 +74,10 @@ func (s *SNARK) SyntheticCircuit(n int, seed int64) (*ConstraintSystem, Witness)
 	return r1cs.BuildSynthetic(s.engine.Fr, n, seed)
 }
 
-// Setup runs the trusted setup without cancellation support.
-//
-// Deprecated: use SetupContext.
-func (s *SNARK) Setup(cs *ConstraintSystem, rnd *rand.Rand) (*ProvingKey, *VerifyingKey, error) {
-	return s.SetupContext(context.Background(), cs, rnd)
-}
-
 // SetupContext runs the trusted setup, honouring ctx between the QAP
 // evaluation and the per-variable key-element batches.
 func (s *SNARK) SetupContext(ctx context.Context, cs *ConstraintSystem, rnd *rand.Rand) (*ProvingKey, *VerifyingKey, error) {
 	return s.engine.SetupContext(ctx, cs, rnd)
-}
-
-// Prove generates a proof without cancellation support.
-//
-// Deprecated: use ProveContext.
-func (s *SNARK) Prove(cs *ConstraintSystem, pk *ProvingKey, w Witness, rnd *rand.Rand) (*Proof, error) {
-	return s.ProveContext(context.Background(), cs, pk, w, rnd)
 }
 
 // ProveContext generates a proof; when a System is attached, the G1
@@ -101,9 +87,9 @@ func (s *SNARK) Prove(cs *ConstraintSystem, pk *ProvingKey, w Witness, rnd *rand
 // passes), every MSM phase boundary, and the MSM shards themselves — so
 // a cancel or deadline aborts the prover promptly wherever it lands.
 func (s *SNARK) ProveContext(ctx context.Context, cs *ConstraintSystem, pk *ProvingKey, w Witness, rnd *rand.Rand) (*Proof, error) {
-	var msmFn groth16.MSMFunc
+	var pr groth16.Provers
 	if s.system != nil {
-		msmFn = func(points []curve.PointAffine, scalars []Scalar) (*curve.PointXYZZ, error) {
+		pr.G1Ctx = func(ctx context.Context, _ groth16.MSMPhase, points []curve.PointAffine, scalars []Scalar) (*curve.PointXYZZ, error) {
 			res, err := core.RunContext(ctx, s.engine.P.Curve, s.system.cluster, points, scalars,
 				core.Options{WindowSize: 8, Engine: core.EngineConcurrent})
 			if err != nil {
@@ -113,7 +99,7 @@ func (s *SNARK) ProveContext(ctx context.Context, cs *ConstraintSystem, pk *Prov
 			return res.Point, nil
 		}
 	}
-	return s.engine.ProveContext(ctx, cs, pk, w, rnd, msmFn)
+	return s.engine.ProveContextWith(ctx, cs, pk, w, rnd, pr)
 }
 
 // Verify checks a proof against the public inputs.
