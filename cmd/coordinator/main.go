@@ -171,58 +171,128 @@ func run(ctx context.Context, o options) error {
 	return nil
 }
 
+// The smokes' shared sizes: a small synthetic circuit on every service,
+// and a lease short enough that a crashed worker is noticed mid-batch.
+const (
+	smokeConstraints = 200
+	smokeLease       = 600 * time.Millisecond
+)
+
+// serveLoopback starts h on a fresh loopback port and returns its URL.
+func serveLoopback(h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, "http://" + ln.Addr().String(), nil
+}
+
 // smokeWorker is one in-process worker node: a proving service on a
 // loopback listener plus the cluster agent that keeps it registered.
 type smokeWorker struct {
-	svc   *service.Service
-	srv   *http.Server
-	ln    net.Listener
-	agent *cluster.Agent
-}
-
-func startSmokeWorker(ctx context.Context, id, coordURL string, constraints int, interval time.Duration) (*smokeWorker, error) {
-	svc, err := newLocalService(ctx, 2, constraints, nil)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	agent, err := cluster.StartAgent(cluster.AgentConfig{
-		Coordinator: coordURL,
-		NodeID:      id,
-		Addr:        "http://" + ln.Addr().String(),
-		Circuits:    []string{"synthetic"},
-		Workers:     svc.Workers(),
-		Interval:    interval,
-		Load: func() (int, int) {
-			st := svc.Stats()
-			return st.Queued, st.InFlight
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Printf("coordinator: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &smokeWorker{svc: svc, srv: srv, ln: ln, agent: agent}, nil
+	svc     *service.Service
+	srv     *http.Server
+	url     string
+	agent   *cluster.Agent
+	crashed bool
 }
 
 // crash simulates the worker process dying: the agent stops without
 // deregistering and the listener closes mid-connection.
 func (w *smokeWorker) crash() {
+	w.crashed = true
 	w.agent.Kill()
 	_ = w.srv.Close()
 }
 
-func (w *smokeWorker) stop(ctx context.Context) {
-	w.agent.Stop()
-	_ = w.srv.Shutdown(ctx)
-	_ = w.svc.Shutdown(ctx)
+// loopback is the smokes' topology: a coordinator and two provd
+// workers, each on a loopback listener, each worker kept registered by
+// its own agent.
+type loopback struct {
+	coord   *cluster.Coordinator
+	srv     *http.Server
+	workers [2]*smokeWorker
+}
+
+// startLoopback brings the topology up and returns once both workers
+// hold leases. The workers listen first, so that when liar is set the
+// coordinator's dialer can wrap worker 0's client with it, recognised by
+// its address; the agents start after the coordinator exists.
+func startLoopback(ctx context.Context, cfg cluster.Config, liar *cluster.NodeInjector) (*loopback, error) {
+	lb := &loopback{}
+	for i := range lb.workers {
+		svc, err := newLocalService(ctx, 2, smokeConstraints, nil)
+		if err != nil {
+			return nil, err
+		}
+		srv, url, err := serveLoopback(svc.Handler())
+		if err != nil {
+			return nil, err
+		}
+		lb.workers[i] = &smokeWorker{svc: svc, srv: srv, url: url}
+	}
+	if liar != nil {
+		liarURL := lb.workers[0].url
+		cfg.DialWorker = func(addr string) cluster.WorkerClient {
+			if addr == liarURL {
+				return liar.WrapClient(0, cluster.NewHTTPWorkerClient(addr))
+			}
+			return cluster.NewHTTPWorkerClient(addr)
+		}
+	}
+	lb.coord = cluster.NewCoordinator(cfg)
+	srv, coordURL, err := serveLoopback(lb.coord.Handler())
+	if err != nil {
+		return nil, err
+	}
+	lb.srv = srv
+	fmt.Printf("coordinator: loopback coordinator on %s (lease %v), workers on %s and %s\n",
+		coordURL, cfg.Lease, lb.workers[0].url, lb.workers[1].url)
+	for i, w := range lb.workers {
+		svc := w.svc
+		w.agent, err = cluster.StartAgent(cluster.AgentConfig{
+			Coordinator: coordURL,
+			NodeID:      fmt.Sprintf("smoke-worker-%d", i),
+			Addr:        w.url,
+			Circuits:    []string{"synthetic"},
+			Workers:     svc.Workers(),
+			Interval:    cfg.Lease / 3,
+			Load: func() (int, int) {
+				st := svc.Stats()
+				return st.Queued, st.InFlight
+			},
+			Logf: func(format string, args ...any) {
+				fmt.Printf("coordinator: "+format+"\n", args...)
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for lb.coord.AliveNodes() < len(lb.workers) {
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("only %d of %d workers registered", lb.coord.AliveNodes(), len(lb.workers))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return lb, nil
+}
+
+// close drains the topology: every worker still running deregisters and
+// shuts down, every worker service drains, then the coordinator stops.
+func (lb *loopback) close(ctx context.Context) {
+	for _, w := range lb.workers {
+		if !w.crashed {
+			w.agent.Stop()
+			_ = w.srv.Shutdown(ctx)
+		}
+		_ = w.svc.Shutdown(ctx)
+	}
+	_ = lb.srv.Shutdown(ctx)
+	lb.coord.Close()
 }
 
 // runSmoke is the cluster failover smoke: coordinator + two workers,
@@ -230,46 +300,19 @@ func (w *smokeWorker) stop(ctx context.Context) {
 // and the lost-lease re-dispatch have to absorb the failure.
 func runSmoke(ctx context.Context, o options) error {
 	start := time.Now()
-	const constraints = 200
-	metrics := telemetry.NewRegistry()
-	local, err := newLocalService(ctx, 2, constraints, nil)
+	local, err := newLocalService(ctx, 2, smokeConstraints, nil)
 	if err != nil {
 		return err
 	}
-	lease := 600 * time.Millisecond
-	coord := cluster.NewCoordinator(cluster.Config{
+	lb, err := startLoopback(ctx, cluster.Config{
 		Local:           local,
-		Lease:           lease,
+		Lease:           smokeLease,
 		DefaultTimeout:  o.timeout,
 		DispatchTimeout: 10 * time.Second,
-		Metrics:         metrics,
-	})
-	defer coord.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+		Metrics:         telemetry.NewRegistry(),
+	}, nil)
 	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	coordURL := "http://" + ln.Addr().String()
-	fmt.Printf("coordinator: smoke coordinator on %s (lease %v)\n", coordURL, lease)
-
-	workers := make([]*smokeWorker, 2)
-	for i := range workers {
-		w, err := startSmokeWorker(ctx, fmt.Sprintf("smoke-worker-%d", i), coordURL, constraints, lease/3)
-		if err != nil {
-			return err
-		}
-		workers[i] = w
-		fmt.Printf("coordinator: smoke worker %d on %s\n", i, w.ln.Addr())
-	}
-	// Wait until both workers hold leases before loading the cluster.
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.AliveNodes() < len(workers) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("smoke: only %d of %d workers registered", coord.AliveNodes(), len(workers))
-		}
-		time.Sleep(20 * time.Millisecond)
+		return fmt.Errorf("smoke: %w", err)
 	}
 
 	n := o.smoke
@@ -285,16 +328,16 @@ func runSmoke(ctx context.Context, o options) error {
 		go func(i int) {
 			defer wg.Done()
 			seed := int64(i + 1)
-			proof, err := coord.Prove(ctx, cluster.ProveRequest{Circuit: "synthetic", Seed: seed})
+			proof, err := lb.coord.Prove(ctx, cluster.ProveRequest{Circuit: "synthetic", Seed: seed})
 			results[i] = result{seed: seed, proof: proof, err: err}
 		}(i)
 	}
 	// Kill worker 0 while the batch is in flight: its lease expires, its
 	// jobs re-dispatch to worker 1 (or degrade to local), and the batch
 	// must still complete.
-	time.Sleep(lease / 2)
+	time.Sleep(smokeLease / 2)
 	fmt.Println("coordinator: crashing smoke worker 0 mid-batch")
-	workers[0].crash()
+	lb.workers[0].crash()
 	wg.Wait()
 
 	failed := 0
@@ -310,15 +353,13 @@ func runSmoke(ctx context.Context, o options) error {
 			fmt.Printf("coordinator: smoke seed %d proof did not verify (ok=%v err=%v)\n", r.seed, ok, err)
 		}
 	}
-	st := coord.Stats()
+	st := lb.coord.Stats()
 	fmt.Printf("coordinator: smoke stats: %d registrations, %d lost nodes, %d recovered jobs, %d redispatches, %d hedges (%d won), %d local fallbacks\n",
 		st.Registrations, st.LostNodes, st.LostJobsRecovered, st.Redispatches, st.Hedges, st.HedgeWins, st.LocalFallbacks)
 
 	shCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	workers[1].stop(shCtx)
-	_ = srv.Shutdown(shCtx)
-	coord.Close()
+	lb.close(shCtx)
 	if err := local.Shutdown(shCtx); err != nil {
 		return fmt.Errorf("smoke: local drain: %w", err)
 	}
@@ -341,88 +382,23 @@ func runSmoke(ctx context.Context, o options) error {
 // in which the liar was never caught is a broken smoke.
 func runMSMSmoke(ctx context.Context, o options) error {
 	start := time.Now()
-	const constraints = 200
-	lease := 600 * time.Millisecond
-
-	// Worker services and listeners come up first, agents later: the
-	// coordinator's DialWorker needs the liar's address before anyone
-	// registers.
-	type msmWorkerNode struct {
-		svc *service.Service
-		srv *http.Server
-		ln  net.Listener
-	}
-	nodes := make([]msmWorkerNode, 2)
-	for i := range nodes {
-		svc, err := newLocalService(ctx, 2, constraints, nil)
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		srv := &http.Server{Handler: svc.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		nodes[i] = msmWorkerNode{svc: svc, srv: srv, ln: ln}
-	}
-	liarURL := "http://" + nodes[0].ln.Addr().String()
-	inj, err := cluster.NewNodeInjector(cluster.NodeFaultConfig{Seed: 1, Corrupt: 1})
+	liar, err := cluster.NewNodeInjector(cluster.NodeFaultConfig{Seed: 1, Corrupt: 1})
 	if err != nil {
 		return err
 	}
-	coord := cluster.NewCoordinator(cluster.Config{
-		Lease:           lease,
+	lb, err := startLoopback(ctx, cluster.Config{
+		Lease:           smokeLease,
 		DefaultTimeout:  o.timeout,
 		DispatchTimeout: 10 * time.Second,
-		DialWorker: func(addr string) cluster.WorkerClient {
-			wc := cluster.NewHTTPWorkerClient(addr)
-			if addr == liarURL {
-				return inj.WrapClient(0, wc)
-			}
-			return wc
-		},
-	})
-	defer coord.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	}, liar)
 	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	coordURL := "http://" + ln.Addr().String()
-	fmt.Printf("coordinator: msm-smoke coordinator on %s, lying worker on %s\n", coordURL, liarURL)
-
-	agents := make([]*cluster.Agent, len(nodes))
-	for i, w := range nodes {
-		agent, err := cluster.StartAgent(cluster.AgentConfig{
-			Coordinator: coordURL,
-			NodeID:      fmt.Sprintf("msm-worker-%d", i),
-			Addr:        "http://" + w.ln.Addr().String(),
-			Circuits:    []string{"synthetic"},
-			Workers:     w.svc.Workers(),
-			Interval:    lease / 3,
-			Logf: func(format string, args ...any) {
-				fmt.Printf("coordinator: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		agents[i] = agent
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.AliveNodes() < len(nodes) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("msm-smoke: only %d of %d workers registered", coord.AliveNodes(), len(nodes))
-		}
-		time.Sleep(20 * time.Millisecond)
+		return fmt.Errorf("msm-smoke: %w", err)
 	}
 
 	failed := 0
 	for i := 0; i < o.msmSmoke; i++ {
 		req := cluster.MSMRequest{Curve: "BN254", PointSeed: uint64(i + 1), ScalarSeed: int64(i + 101), N: 96 + 8*i}
-		got, err := coord.MSM(ctx, req)
+		got, err := lb.coord.MSM(ctx, req)
 		if err != nil {
 			failed++
 			fmt.Printf("coordinator: msm-smoke job %d FAILED: %v\n", i, err)
@@ -436,19 +412,13 @@ func runMSMSmoke(ctx context.Context, o options) error {
 			fmt.Printf("coordinator: msm-smoke job %d diverges from the serial reference — a lie got through\n", i)
 		}
 	}
-	st := coord.Stats()
+	st := lb.coord.Stats()
 	fmt.Printf("coordinator: msm-smoke stats: %d checks, %d rejects, %d corrupt claims, %d redispatches, %d local fallbacks\n",
 		st.MSMChecks, st.MSMRejects, st.CorruptProofs, st.Redispatches, st.LocalFallbacks)
 
 	shCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	for i, w := range nodes {
-		agents[i].Stop()
-		_ = w.srv.Shutdown(shCtx)
-		_ = w.svc.Shutdown(shCtx)
-	}
-	_ = srv.Shutdown(shCtx)
-	coord.Close()
+	lb.close(shCtx)
 	if failed > 0 {
 		return fmt.Errorf("msm-smoke: %d of %d jobs failed", failed, o.msmSmoke)
 	}

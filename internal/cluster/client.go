@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the cluster's HTTP transport: the coordinator's client
-// to a worker's /v1/cluster/dispatch endpoint, and the worker-side
+// to a worker's /v1/cluster/dispatch and /v1/msm endpoints, and the worker-side
 // Agent that registers with a coordinator and keeps its heartbeat lease
 // alive. Both speak the wire types of wire.go and nothing else.
 
@@ -23,6 +23,32 @@ import (
 func readCapped(r io.Reader, limit int64) []byte {
 	b, _ := io.ReadAll(io.LimitReader(r, limit+1))
 	return b
+}
+
+// postJSON POSTs req as JSON to url and returns the response body, read
+// up to limit. A status other than 200 is an error carrying the body.
+// Every cluster message the coordinator or an agent sends goes through
+// it.
+func postJSON(ctx context.Context, hc *http.Client, url string, req any, limit int64) ([]byte, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	rb := readCapped(resp.Body, limit)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("cluster: POST %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(rb)))
+	}
+	return rb, nil
 }
 
 // HTTPWorkerClient dispatches jobs to one worker node over HTTP.
@@ -42,65 +68,37 @@ func NewHTTPWorkerClient(base string) *HTTPWorkerClient {
 
 // Dispatch implements WorkerClient.
 func (c *HTTPWorkerClient) Dispatch(ctx context.Context, req DispatchRequest) ([]byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/cluster/dispatch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	// Dispatch responses carry a proof, so they get the larger cap that
 	// makes maxProofHex reachable.
-	rb := readCapped(resp.Body, maxDispatchRespBody)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: dispatch to %s: HTTP %d: %s", c.base, resp.StatusCode, strings.TrimSpace(string(rb)))
-	}
-	w, proof, err := ParseDispatchResponse(rb)
+	rb, err := postJSON(ctx, c.hc, c.base+"/v1/cluster/dispatch", req, maxDispatchRespBody)
 	if err != nil {
 		return nil, err
 	}
-	if w.Error != "" {
-		return nil, fmt.Errorf("cluster: worker %s: %s", c.base, w.Error)
-	}
-	return proof, nil
+	w, proof, err := ParseDispatchResponse(rb)
+	return c.answer(proof, w.Error, err)
 }
 
 // DispatchMSM implements MSMWorkerClient against the worker's /v1/msm
 // endpoint, returning the decoded result-point bytes.
 func (c *HTTPWorkerClient) DispatchMSM(ctx context.Context, req MSMDispatchRequest) ([]byte, error) {
-	body, err := json.Marshal(req)
+	rb, err := postJSON(ctx, c.hc, c.base+"/v1/msm", req, maxWireBody)
 	if err != nil {
 		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/msm", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rb := readCapped(resp.Body, maxWireBody)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: msm dispatch to %s: HTTP %d: %s", c.base, resp.StatusCode, strings.TrimSpace(string(rb)))
 	}
 	w, result, err := ParseMSMDispatchResponse(rb)
+	return c.answer(result, w.Error, err)
+}
+
+// answer turns a parsed worker response into a dispatch result: the
+// worker's own error answer becomes the dispatch error.
+func (c *HTTPWorkerClient) answer(payload []byte, workerErr string, err error) ([]byte, error) {
+	if err == nil && workerErr != "" {
+		err = fmt.Errorf("cluster: worker %s: %s", c.base, workerErr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if w.Error != "" {
-		return nil, fmt.Errorf("cluster: worker %s: %s", c.base, w.Error)
-	}
-	return result, nil
+	return payload, nil
 }
 
 // AgentConfig configures a worker-side cluster Agent.
@@ -194,27 +192,9 @@ func (a *Agent) Kill() {
 }
 
 func (a *Agent) post(ctx context.Context, path string, req, into any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
+	rb, err := postJSON(ctx, a.hc, strings.TrimSuffix(a.cfg.Coordinator, "/")+path, req, maxWireBody)
+	if err != nil || into == nil {
 		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(a.cfg.Coordinator, "/")+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := a.hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	rb := readCapped(resp.Body, maxWireBody)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(rb)))
-	}
-	if into == nil {
-		return nil
 	}
 	if err := json.Unmarshal(rb, into); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadMessage, err)

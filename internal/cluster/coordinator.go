@@ -139,16 +139,13 @@ type node struct {
 	draining bool // deregistered gracefully; in-flight left to finish
 	lastHB   time.Time
 	seq      uint64
-	queued   int // worker-reported, informational
-	remote   int // worker-reported in-flight, informational
 
 	// inflight tracks the coordinator-side dispatches outstanding on
 	// this node: attempt ID → cancel. A lost lease cancels them all,
-	// which unwinds the waiting Prove calls into redispatch.
+	// which unwinds the waiting Prove and MSM calls into redispatch.
 	inflight map[uint64]context.CancelFunc
 
-	br      nodeBreaker
-	ewmaSec float64
+	br nodeBreaker
 
 	dispatches uint64 // lifetime, successful + failed
 	failures   uint64 // lifetime failed dispatches
@@ -318,8 +315,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	n.seq = req.Seq
 	n.lastHB = time.Now()
 	n.lost = false
-	n.queued = req.Queued
-	n.remote = req.InFlight
 	c.stats.Heartbeats++
 	c.metrics.observeHeartbeat()
 	return HeartbeatResponse{OK: true}, nil
@@ -364,13 +359,18 @@ func (c *Coordinator) sweep(ctx context.Context) {
 // expireLeases marks overdue nodes lost and cancels their in-flight
 // dispatches. Exported to the tests via the package-internal clock
 // argument so lease expiry is drivable without real waiting.
+//
+// A draining node is exempt: it stopped heartbeating because it
+// deregistered, and its in-flight work is promised time to finish — a
+// drain may outlast the lease. If it really dies, its attempts still
+// fail through transport errors or DispatchTimeout and re-dispatch.
 func (c *Coordinator) expireLeases(now time.Time) {
 	var cancels []context.CancelFunc
 	lost, recovered := 0, 0
 	c.mu.Lock()
 	for _, id := range c.order {
 		n := c.nodes[id]
-		if n.lost || now.Sub(n.lastHB) <= c.cfg.Lease {
+		if n.lost || n.draining || now.Sub(n.lastHB) <= c.cfg.Lease {
 			continue
 		}
 		n.lost = true
@@ -395,39 +395,38 @@ func (c *Coordinator) expireLeases(now time.Time) {
 	}
 }
 
-// dispatchable reports whether the node can take a new job now
-// (read-only; the breaker admission is committed separately).
-func (n *node) dispatchable(now time.Time, cfg BreakerConfig) bool {
-	return !n.lost && !n.draining && n.br.canAdmit(now, cfg)
+// canTake reports whether the node can take a new dispatch now — an MSM
+// shard half if msm (read-only; the breaker admission is committed
+// separately).
+func (n *node) canTake(now time.Time, cfg BreakerConfig, msm bool) bool {
+	_, serves := n.client.(MSMWorkerClient)
+	return !n.lost && !n.draining && n.br.canAdmit(now, cfg) && (serves || !msm)
 }
 
-// pickNode chooses the next node for a job: the node that last proved
-// this circuit if it can take work (its per-circuit base caches are
-// warm — same reason the single-node queue coalesces by circuit),
-// otherwise the least-loaded dispatchable node, ties broken by
-// registration order for determinism. Returns nil when no node admits.
-// probe reports that the admission consumed the node's half-open probe
-// slot; the caller owns the slot and must either record the dispatch
-// outcome or release it via releaseProbe.
-func (c *Coordinator) pickNode(circuit string, exclude map[string]bool) (n *node, probe bool) {
+// pickNode chooses the next node for a dispatch of either kind and
+// admits it on the node's breaker. With an affinity key (a proof job's
+// circuit) the node that last settled that key wins if it can take work
+// — its per-circuit base caches are warm, the same reason the
+// single-node queue coalesces by circuit. Otherwise, and always for MSM
+// shards (no key), the least-loaded dispatchable node wins, ties broken
+// by registration order for determinism; msm restricts the choice to
+// nodes whose client serves MSM shards. Returns nil when no node admits.
+// probe reports that the admission took the node's half-open probe
+// slot, which the attempt then owns (see attempt).
+func (c *Coordinator) pickNode(key string, exclude map[string]bool, msm bool) (n *node, probe bool) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id := c.affinity[circuit]; id != "" && !exclude[id] {
-		if n := c.nodes[id]; n != nil && n.dispatchable(now, c.cfg.Breaker) {
-			if admitted, probe := n.br.admit(now, c.cfg.Breaker); admitted {
-				return n, probe
-			}
-		}
+	eligible := func(n *node) bool {
+		return n != nil && !exclude[n.id] && n.canTake(now, c.cfg.Breaker, msm)
 	}
-	var best *node
-	for _, id := range c.order {
-		n := c.nodes[id]
-		if exclude[id] || !n.dispatchable(now, c.cfg.Breaker) {
-			continue
-		}
-		if best == nil || len(n.inflight) < len(best.inflight) {
-			best = n
+	best := c.nodes[c.affinity[key]]
+	if key == "" || !eligible(best) {
+		best = nil
+		for _, id := range c.order {
+			if n := c.nodes[id]; eligible(n) && (best == nil || len(n.inflight) < len(best.inflight)) {
+				best = n
+			}
 		}
 	}
 	if best == nil {
@@ -440,30 +439,30 @@ func (c *Coordinator) pickNode(circuit string, exclude map[string]bool) (n *node
 	return best, probe
 }
 
-// releaseProbe frees the half-open probe slot a dispatch attempt was
-// holding when the attempt is abandoned without a recorded outcome
-// (hedge loser cancelled, or the job's own context dying mid-flight).
-// Without it the node's breaker would stay HalfOpen with its one probe
+// abandon ends an attempt without an outcome (the caller gave up on it:
+// a hedge loser, the job's own context dying, a deadline already past)
+// and gives back the half-open probe slot its admission took, if any.
+// Without that the node's breaker would stay HalfOpen with its one probe
 // slot consumed forever — permanently unroutable.
-func (c *Coordinator) releaseProbe(n *node) {
-	c.mu.Lock()
-	n.br.releaseProbe()
-	c.mu.Unlock()
+func (c *Coordinator) abandon(n *node, probe bool) {
+	if probe {
+		c.mu.Lock()
+		n.br.releaseProbe()
+		c.mu.Unlock()
+	}
 }
 
-// recordDispatch folds one dispatch outcome into the node's breaker,
-// EWMAs and counters.
-func (c *Coordinator) recordDispatch(n *node, ok bool, sec float64, circuit string) {
+// recordDispatch settles one dispatch outcome into the node's breaker,
+// the hedge EWMA and the counters. A success under a non-empty affinity
+// key also hands the key to the node.
+func (c *Coordinator) recordDispatch(n *node, ok bool, sec float64, key string) {
 	now := time.Now()
 	c.mu.Lock()
 	n.dispatches++
 	if ok {
 		c.stats.DispatchOK++
-		c.affinity[circuit] = n.id
-		if n.ewmaSec == 0 {
-			n.ewmaSec = sec
-		} else {
-			n.ewmaSec += 0.25 * (sec - n.ewmaSec)
+		if key != "" {
+			c.affinity[key] = n.id
 		}
 		if c.ewmaSec == 0 {
 			c.ewmaSec = sec
@@ -499,16 +498,99 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // trackInflight registers a dispatch attempt on the node so a lost
 // lease can cancel it; the returned release must run when the attempt
 // finishes.
-func (c *Coordinator) trackInflight(n *node, cancel context.CancelFunc) (id uint64, release func()) {
-	id = c.attemptID.Add(1)
+func (c *Coordinator) trackInflight(n *node, cancel context.CancelFunc) (release func()) {
+	id := c.attemptID.Add(1)
 	c.mu.Lock()
 	n.inflight[id] = cancel
 	c.mu.Unlock()
-	return id, func() {
+	return func() {
 		c.mu.Lock()
 		delete(n.inflight, id)
 		c.mu.Unlock()
 	}
+}
+
+// attempt sends one dispatch to one node. It is the only way work
+// reaches a node: the primary and the hedge of a proof job, and each
+// half (real and challenge) of an MSM shard. send puts the request on
+// the wire under the attempt's context, with its remaining time in
+// whole milliseconds.
+//
+// The attempt is capped by DispatchTimeout and registered in the node's
+// in-flight set, so a lost lease cancels it. It ends in exactly one of
+// three ways:
+//   - a node failure (transport or worker error, DispatchTimeout, lease
+//     expiry), charged to the node's breaker here;
+//   - the caller's own cancellation or abandonment of ctx, which records
+//     no outcome and gives back a held probe slot (see abandon);
+//   - a well-formed answer, returned unsettled with its seconds: the
+//     caller settles the node at the verdict — proof verification or
+//     the outsourced check — which also returns a held probe slot.
+func (c *Coordinator) attempt(ctx context.Context, n *node, probe bool, send func(ctx context.Context, timeoutMS int64) ([]byte, error)) ([]byte, float64, error) {
+	var actx context.Context
+	var cancel context.CancelFunc
+	if c.cfg.DispatchTimeout > 0 {
+		actx, cancel = context.WithTimeout(ctx, c.cfg.DispatchTimeout)
+	} else {
+		actx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+	var timeoutMS int64
+	if deadline, ok := actx.Deadline(); ok {
+		// Under a millisecond left would put TimeoutMS = 0 on the wire —
+		// "use the worker default" — and burn a worker-default timeout of
+		// node capacity on work the caller has given up on. Fail fast,
+		// sending nothing; the node is not at fault.
+		if timeoutMS = time.Until(deadline).Milliseconds(); timeoutMS <= 0 {
+			c.abandon(n, probe)
+			return nil, 0, context.DeadlineExceeded
+		}
+	}
+	defer c.trackInflight(n, cancel)()
+	start := time.Now()
+	raw, err := send(actx, timeoutMS)
+	sec := time.Since(start).Seconds()
+	switch {
+	case err == nil:
+		return raw, sec, nil
+	case ctx.Err() != nil:
+		c.abandon(n, probe)
+	default:
+		c.recordDispatch(n, false, sec, "")
+	}
+	return nil, sec, err
+}
+
+// chargeCorrupt settles a node whose well-formed answer the verdict
+// rejected: a breaker failure, counted as a corrupt response.
+func (c *Coordinator) chargeCorrupt(n *node) {
+	c.recordDispatch(n, false, 0, "")
+	c.bump(&c.stats.CorruptProofs)
+	c.metrics.observeCorrupt()
+}
+
+// bump increments one Stats counter.
+func (c *Coordinator) bump(counter *uint64) {
+	c.mu.Lock()
+	*counter++
+	c.mu.Unlock()
+}
+
+// startJob admits one client job of either kind: it refuses work after
+// Close, applies the job deadline (the coordinator default when timeout
+// is 0) and numbers the job.
+func (c *Coordinator) startJob(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc, uint64, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, nil, 0, ErrShuttingDown
+	}
+	if timeout <= 0 {
+		timeout = c.cfg.DefaultTimeout
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return ctx, cancel, c.lastJob.Add(1), nil
 }
 
 // Prove runs one job through the cluster: route, dispatch (hedged),
@@ -519,33 +601,23 @@ func (c *Coordinator) Prove(ctx context.Context, req ProveRequest) ([]byte, erro
 	if err := validateCircuitName(req.Circuit); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrShuttingDown
+	ctx, cancel, jobID, err := c.startJob(ctx, req.Timeout)
+	if err != nil {
+		return nil, err
 	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = c.cfg.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	jobID := c.lastJob.Add(1)
 
 	exclude := map[string]bool{}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		n, probe := c.pickNode(req.Circuit, exclude)
+	for try := 0; try < c.cfg.MaxAttempts; try++ {
+		n, probe := c.pickNode(req.Circuit, exclude, false)
 		if n == nil {
 			// Every node is lost, quarantined, draining or already tried:
 			// degrade to local in-process proving.
 			return c.proveLocal(ctx, jobID, req, lastErr)
 		}
-		if attempt > 0 {
-			c.mu.Lock()
-			c.stats.Redispatches++
-			c.mu.Unlock()
+		if try > 0 {
+			c.bump(&c.stats.Redispatches)
 			c.metrics.observeRedispatch()
 		}
 		proof, winner, sec, err := c.dispatchHedged(ctx, n, probe, jobID, req, exclude)
@@ -553,39 +625,25 @@ func (c *Coordinator) Prove(ctx context.Context, req ProveRequest) ([]byte, erro
 			// The winner is settled here, by the verdict: recording success
 			// on delivery would reset a lying node's failure streak and hand
 			// it the circuit's affinity before its proof was checked.
-			ok := c.verifyRemote(req, proof)
-			c.recordDispatch(winner, ok, sec, req.Circuit)
-			if !ok {
-				// Corrupted response: the winner produced garbage. Its
-				// breaker is charged; re-dispatch elsewhere.
-				c.mu.Lock()
-				c.stats.CorruptProofs++
-				c.mu.Unlock()
-				c.metrics.observeCorrupt()
-				lastErr = fmt.Errorf("%w (node %s)", ErrCorruptProof, winner.id)
-				continue
+			if c.verifyRemote(req, proof) {
+				c.recordDispatch(winner, true, sec, req.Circuit)
+				c.bump(&c.stats.JobsCompleted)
+				return proof, nil
 			}
-			c.mu.Lock()
-			c.stats.JobsCompleted++
-			c.mu.Unlock()
-			return proof, nil
+			c.chargeCorrupt(winner)
+			lastErr = fmt.Errorf("%w (node %s)", ErrCorruptProof, winner.id)
+			continue
 		}
 		if ctx.Err() != nil {
 			// The job's own deadline or the client's cancellation — not the
 			// nodes' fault; stop re-dispatching.
-			c.noteFailed()
+			c.bump(&c.stats.JobsFailed)
 			return nil, ctx.Err()
 		}
 		lastErr = err
 	}
-	c.noteFailed()
+	c.bump(&c.stats.JobsFailed)
 	return nil, fmt.Errorf("cluster: job %d failed after %d dispatch attempts: %w", jobID, c.cfg.MaxAttempts, lastErr)
-}
-
-func (c *Coordinator) noteFailed() {
-	c.mu.Lock()
-	c.stats.JobsFailed++
-	c.mu.Unlock()
 }
 
 // verifyRemote checks a remote proof against the local backend; without
@@ -608,27 +666,23 @@ func (c *Coordinator) verifyRemote(req ProveRequest, proof []byte) bool {
 // failing jobs it promised to absorb.
 func (c *Coordinator) proveLocal(ctx context.Context, jobID uint64, req ProveRequest, lastErr error) ([]byte, error) {
 	if c.cfg.Local == nil {
-		c.noteFailed()
+		c.bump(&c.stats.JobsFailed)
 		if lastErr != nil {
 			return nil, fmt.Errorf("%w; last dispatch error: %v", ErrNoNodes, lastErr)
 		}
 		return nil, ErrNoNodes
 	}
-	c.mu.Lock()
-	c.stats.LocalFallbacks++
-	c.mu.Unlock()
+	c.bump(&c.stats.LocalFallbacks)
 	c.metrics.observeLocalFallback()
 	for {
 		proof, err := c.cfg.Local.ProveLocal(ctx, req.Circuit, req.Seed)
 		if err == nil {
-			c.mu.Lock()
-			c.stats.JobsCompleted++
-			c.mu.Unlock()
+			c.bump(&c.stats.JobsCompleted)
 			return proof, nil
 		}
 		var busy interface{ RetryAfterHint() time.Duration }
 		if !errors.As(err, &busy) {
-			c.noteFailed()
+			c.bump(&c.stats.JobsFailed)
 			return nil, fmt.Errorf("cluster: job %d degraded to local and failed: %w", jobID, err)
 		}
 		wait := busy.RetryAfterHint()
@@ -640,159 +694,90 @@ func (c *Coordinator) proveLocal(ctx context.Context, jobID uint64, req ProveReq
 		}
 		select {
 		case <-ctx.Done():
-			c.noteFailed()
+			c.bump(&c.stats.JobsFailed)
 			return nil, fmt.Errorf("cluster: job %d degraded to local, queue never admitted it: %w", jobID, ctx.Err())
 		case <-time.After(wait):
 		}
 	}
 }
 
-// dispatchOutcome is one attempt's result inside dispatchHedged.
-type dispatchOutcome struct {
-	n      *node
-	proof  []byte
-	err    error
-	sec    float64
-	hedged bool
-}
-
-// hedgeAttempt is one launched dispatch inside dispatchHedged: its
-// target, its cancel, whether its admission consumed the node's
-// half-open probe slot, and whether its outcome has been claimed. Every
-// launched attempt must end in exactly one of recordDispatch (for the
-// winner, by Prove at the verification verdict) or abandonment (which
-// releases a held probe slot) — an abandoned probe that kept its slot
-// would leave the breaker HalfOpen and the node unroutable forever.
-type hedgeAttempt struct {
-	n       *node
-	cancel  context.CancelFunc
-	probe   bool
-	settled bool
-}
-
-// dispatchHedged runs one routing attempt: dispatch to primary and, if
-// the primary is still out past the hedge delay, launch one speculative
-// duplicate on a different node. First success wins and the loser is
-// cancelled; both failing fails the attempt. Every node tried is added
-// to exclude so the outer loop never revisits it for this job.
-// primaryProbe says the primary's admission consumed its half-open
+// dispatchHedged runs one routing attempt of a proof job: an attempt on
+// primary and, if it is still out past the hedge delay, one speculative
+// attempt on a different node. The first answer wins and the other
+// attempt is abandoned; both failing fails the routing attempt. Every
+// node tried is added to exclude so Prove never revisits it for this
+// job. primaryProbe says the primary's admission took its half-open
 // probe slot (see pickNode). The winner comes back unsettled, with its
-// dispatch seconds: the caller records its outcome once the proof has
-// been checked, which also returns a held probe slot.
+// dispatch seconds (see attempt).
 func (c *Coordinator) dispatchHedged(ctx context.Context, primary *node, primaryProbe bool, jobID uint64, req ProveRequest, exclude map[string]bool) ([]byte, *node, float64, error) {
-	ch := make(chan dispatchOutcome, 2) // buffered: late losers never block
-	attempts := map[string]*hedgeAttempt{}
-	// abandon ends an attempt without a breaker outcome: cancel the
-	// worker-side job and give back the probe slot the admission took.
-	abandon := func(a *hedgeAttempt) {
-		if a.settled {
-			return
-		}
-		a.settled = true
-		a.cancel()
-		if a.probe {
-			c.releaseProbe(a.n)
-		}
+	type outcome struct {
+		n      *node
+		probe  bool
+		proof  []byte
+		sec    float64
+		err    error
+		hedged bool
 	}
+	ch := make(chan outcome, 2) // one per attempt: late losers never block
+	var cancels []context.CancelFunc
 	launch := func(n *node, probe, hedged bool) {
-		var actx context.Context
-		var acancel context.CancelFunc
-		if c.cfg.DispatchTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, c.cfg.DispatchTimeout)
-		} else {
-			actx, acancel = context.WithCancel(ctx)
-		}
-		_, release := c.trackInflight(n, acancel)
-		attempts[n.id] = &hedgeAttempt{n: n, cancel: acancel, probe: probe}
-		dreq := DispatchRequest{
-			JobID:   jobID,
-			Circuit: req.Circuit,
-			Seed:    req.Seed,
-		}
-		if deadline, ok := actx.Deadline(); ok {
-			d := time.Until(deadline)
-			if d <= 0 {
-				// The deadline already passed. Dispatching anyway would put
-				// TimeoutMS = 0 on the wire — "use the worker default" — and
-				// burn a worker-default timeout's worth of node capacity on a
-				// job the caller has given up on. Fail the attempt fast and
-				// locally; the receive loop treats it like any cancellation
-				// (no breaker outcome, probe slot returned).
-				release()
-				acancel()
-				ch <- dispatchOutcome{n: n, err: context.DeadlineExceeded, hedged: hedged}
-				return
-			}
-			dreq.TimeoutMS = d.Milliseconds()
-		}
+		actx, cancel := context.WithCancel(ctx)
+		cancels = append(cancels, cancel)
+		exclude[n.id] = true
 		go func() {
-			start := time.Now()
-			proof, err := n.client.Dispatch(actx, dreq)
-			release()
-			acancel()
-			ch <- dispatchOutcome{n: n, proof: proof, err: err, sec: time.Since(start).Seconds(), hedged: hedged}
+			proof, sec, err := c.attempt(actx, n, probe, func(actx context.Context, timeoutMS int64) ([]byte, error) {
+				return n.client.Dispatch(actx, DispatchRequest{JobID: jobID, Circuit: req.Circuit, Seed: req.Seed, TimeoutMS: timeoutMS})
+			})
+			ch <- outcome{n, probe, proof, sec, err, hedged}
 		}()
 	}
-	exclude[primary.id] = true
+	outstanding := 0
+	defer func() {
+		// Abandon every attempt still out, which cancels its worker-side
+		// job too. It unwinds as an abandonment; one that answered before
+		// the cancel landed gives back the probe slot it holds here.
+		for _, cancel := range cancels {
+			cancel()
+		}
+		if outstanding > 0 {
+			go func(rest int) {
+				for ; rest > 0; rest-- {
+					if out := <-ch; out.err == nil {
+						c.abandon(out.n, out.probe)
+					}
+				}
+			}(outstanding)
+		}
+	}()
 	launch(primary, primaryProbe, false)
+	outstanding++
 
 	hedge := time.NewTimer(c.hedgeDelay())
 	defer hedge.Stop()
-	outstanding := 1
-	hedgedYet := false
 	var lastErr error
 	for outstanding > 0 {
 		select {
 		case out := <-ch:
 			outstanding--
-			a := attempts[out.n.id]
-			if out.err == nil {
-				a.settled = true // by the caller, at the verdict
-				if out.hedged {
-					c.metrics.observeHedgeWin()
-					c.mu.Lock()
-					c.stats.HedgeWins++
-					c.mu.Unlock()
-				}
-				for _, other := range attempts {
-					if other.n != out.n {
-						abandon(other) // the loser's worker-side job is cancelled too
-					}
-				}
-				return out.proof, out.n, out.sec, nil
-			}
-			if ctx.Err() == nil {
-				// A real node failure, not our own deadline propagating.
-				a.settled = true
-				c.recordDispatch(out.n, false, out.sec, req.Circuit)
-			} else {
-				// Our own deadline or cancellation — not the node's fault, so
-				// no breaker outcome; but a held probe slot must come back.
-				abandon(a)
-			}
-			lastErr = out.err
-		case <-hedge.C:
-			if hedgedYet {
+			if out.err != nil {
+				lastErr = out.err // already settled by attempt
 				continue
 			}
-			hedgedYet = true
-			h, hProbe := c.pickNode(req.Circuit, exclude)
+			if out.hedged {
+				c.bump(&c.stats.HedgeWins)
+				c.metrics.observeHedgeWin()
+			}
+			return out.proof, out.n, out.sec, nil
+		case <-hedge.C: // fires once
+			h, hProbe := c.pickNode(req.Circuit, exclude, false)
 			if h == nil {
 				continue // nobody to hedge on; keep waiting for the primary
 			}
-			exclude[h.id] = true
 			launch(h, hProbe, true)
 			outstanding++
-			c.mu.Lock()
-			c.stats.Hedges++
-			c.mu.Unlock()
+			c.bump(&c.stats.Hedges)
 			c.metrics.observeHedge()
 		case <-ctx.Done():
-			for _, a := range attempts {
-				abandon(a)
-			}
-			// The launched goroutines unblock into the buffered channel and
-			// exit on their own; nothing leaks.
 			return nil, nil, 0, ctx.Err()
 		}
 	}

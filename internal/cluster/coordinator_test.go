@@ -8,6 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"distmsm/internal/curve"
+	"distmsm/internal/msm"
+	"distmsm/internal/outsource"
+	"distmsm/internal/serial"
 )
 
 // funcClient adapts a function to WorkerClient for unit tests.
@@ -185,6 +190,115 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	if snap := c.Snapshot(); snap[0].State != "alive" {
 		t.Fatalf("node a state %q after reviving heartbeat, want alive", snap[0].State)
 	}
+
+	// The same failover on the MSM surface. Two nodes make two shards,
+	// and each shard puts one half on each node; the halves on a hang
+	// until its lease expires, then both shards re-run on survivor b.
+	var hung atomic.Int64
+	survivor := &msmTestClient{}
+	m := newTestCoordinator(t, Config{Lease: lease, MSMRandom: outsource.NewSeededReader(4)}, map[string]WorkerClient{
+		"a": msmFuncClient(func(ctx context.Context, req MSMDispatchRequest) ([]byte, error) {
+			hung.Add(1)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}),
+		"b": survivor,
+	})
+	mustRegister(t, m, "a")
+	mustRegister(t, m, "b")
+	mreq := MSMRequest{Curve: "BN254", PointSeed: 51, ScalarSeed: 52, N: 64, Timeout: 30 * time.Second}
+	mdone := make(chan res, 1)
+	go func() {
+		point, err := m.MSM(context.Background(), mreq)
+		mdone <- res{point, err}
+	}()
+	deadline = time.Now().Add(5 * time.Second)
+	for hung.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the MSM halves never became in-flight on node a")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	m.mu.Lock()
+	m.nodes["a"].lastHB = time.Now().Add(-2 * lease)
+	m.mu.Unlock()
+	m.expireLeases(time.Now())
+
+	r = <-mdone
+	if r.err != nil {
+		t.Fatalf("MSM after lease expiry: %v", r.err)
+	}
+	crv, err := curve.ByName(mreq.Curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := msm.MSM(crv, crv.SamplePoints(mreq.N, mreq.PointSeed), crv.SampleScalars(mreq.N, mreq.ScalarSeed), msm.Config{Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aff := crv.ToAffine(sum)
+	if !bytes.Equal(r.proof, serial.MarshalPoint(crv, &aff, false)) {
+		t.Fatal("MSM result after lease expiry differs from msm.MSM")
+	}
+	if st := m.Stats(); st.LostNodes != 1 || st.LostJobsRecovered != 2 || st.Redispatches != 2 || st.LocalFallbacks != 0 {
+		t.Fatalf("MSM stats %+v, want 1 lost node, 2 recovered halves, 2 redispatches, no local fallback", st)
+	}
+}
+
+// TestDrainingNodeKeepsInFlightPastLease: a deregistered node stops
+// heartbeating, but its in-flight work is promised time to finish — a
+// drain that outlasts the lease must not read as a lost node, cancel the
+// job and re-dispatch it.
+func TestDrainingNodeKeepsInFlightPastLease(t *testing.T) {
+	lease := time.Hour // expiry driven manually; the sweeper never fires
+	finish := make(chan struct{})
+	c := newTestCoordinator(t, Config{Lease: lease, HedgeMin: time.Hour}, map[string]WorkerClient{
+		"a": funcClient(func(ctx context.Context, req DispatchRequest) ([]byte, error) {
+			select {
+			case <-finish:
+				return []byte("proof-a"), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}),
+	})
+	mustRegister(t, c, "a")
+
+	type res struct {
+		proof []byte
+		err   error
+	}
+	done := make(chan res, 1)
+	go func() {
+		proof, err := c.Prove(context.Background(), ProveRequest{Circuit: "synthetic", Seed: 7, Timeout: 30 * time.Second})
+		done <- res{proof, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Snapshot()[0].InFlight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never became in-flight on node a")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := c.Deregister(DeregisterRequest{NodeID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.nodes["a"].lastHB = time.Now().Add(-2 * lease)
+	c.mu.Unlock()
+	c.expireLeases(time.Now())
+	close(finish)
+
+	r := <-done
+	if r.err != nil || !bytes.Equal(r.proof, []byte("proof-a")) {
+		t.Fatalf("prove on a draining node past its lease: proof %q err %v, want node a's", r.proof, r.err)
+	}
+	if st := c.Stats(); st.LostNodes != 0 || st.LostJobsRecovered != 0 {
+		t.Fatalf("stats %+v, want no lost node and no recovered job", st)
+	}
+	if snap := c.Snapshot(); snap[0].State != "draining" {
+		t.Fatalf("node a state %q, want draining", snap[0].State)
+	}
 }
 
 // TestHedgedDispatch: a straggling primary gets a speculative duplicate
@@ -261,6 +375,25 @@ func TestExpiredDeadlineFailsFast(t *testing.T) {
 	proof, err := c.Prove(context.Background(), ProveRequest{Circuit: "synthetic", Seed: 2, Timeout: 10 * time.Second})
 	if err != nil || !bytes.Equal(proof, []byte("proof")) {
 		t.Fatalf("post-expiry prove: proof %q err %v", proof, err)
+	}
+
+	// The same on the MSM surface: no shard half reaches the worker, and
+	// its breaker stays closed for the next healthy job.
+	worker := &msmTestClient{}
+	m := newTestCoordinator(t, Config{MSMRandom: outsource.NewSeededReader(6)}, map[string]WorkerClient{"m1": worker})
+	mustRegister(t, m, "m1")
+	mreq := MSMRequest{Curve: "BN254", PointSeed: 61, ScalarSeed: 62, N: 32, Timeout: 10 * time.Second}
+	if _, err := m.MSM(ctx, mreq); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired-deadline MSM error = %v, want DeadlineExceeded", err)
+	}
+	if n := worker.dispatches.Load(); n != 0 {
+		t.Fatalf("expired-deadline MSM reached the worker %d times, want 0", n)
+	}
+	if snap := m.Snapshot(); snap[0].Failures != 0 || snap[0].BreakerS != "closed" {
+		t.Fatalf("node m1 after an expired MSM: %d failures, breaker %s; want 0, closed", snap[0].Failures, snap[0].BreakerS)
+	}
+	if got, err := m.MSM(context.Background(), mreq); err != nil || !bytes.Equal(got, msmReferenceBytes(t, mreq)) {
+		t.Fatalf("post-expiry MSM: err %v", err)
 	}
 }
 

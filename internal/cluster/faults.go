@@ -108,9 +108,8 @@ const tagNodeDecide uint64 = 0x4E0DE
 // pure in (seed, node, seq); the only mutable state is the sticky
 // crashed set and the per-node dispatch sequence counters.
 type NodeInjector struct {
-	cfg NodeFaultConfig
-	// cumulative thresholds over the unit interval, in class order
-	thCrash, thPartition, thSlow, thCorrupt float64
+	cfg  NodeFaultConfig
+	pick gpusim.FaultPicker // classes in NodeFaultClass order, from NodeFaultCrash
 
 	mu      sync.Mutex
 	seq     map[int]uint64
@@ -119,21 +118,13 @@ type NodeInjector struct {
 
 // NewNodeInjector validates cfg and returns an injector for it.
 func NewNodeInjector(cfg NodeFaultConfig) (*NodeInjector, error) {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"Crash", cfg.Crash},
-		{"Partition", cfg.Partition},
-		{"Slow", cfg.Slow},
-		{"Corrupt", cfg.Corrupt},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return nil, fmt.Errorf("%w: %s = %v outside [0, 1]", ErrBadNodeFaultConfig, p.name, p.v)
-		}
-	}
-	if sum := cfg.Crash + cfg.Partition + cfg.Slow + cfg.Corrupt; sum > 1 {
-		return nil, fmt.Errorf("%w: probabilities sum to %v > 1", ErrBadNodeFaultConfig, sum)
+	pick, err := gpusim.NewFaultPicker(ErrBadNodeFaultConfig,
+		gpusim.FaultProb{Name: "Crash", P: cfg.Crash},
+		gpusim.FaultProb{Name: "Partition", P: cfg.Partition},
+		gpusim.FaultProb{Name: "Slow", P: cfg.Slow},
+		gpusim.FaultProb{Name: "Corrupt", P: cfg.Corrupt})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.SlowDelay < 0 {
 		return nil, fmt.Errorf("%w: SlowDelay = %v < 0", ErrBadNodeFaultConfig, cfg.SlowDelay)
@@ -141,12 +132,7 @@ func NewNodeInjector(cfg NodeFaultConfig) (*NodeInjector, error) {
 	if cfg.SlowDelay == 0 {
 		cfg.SlowDelay = DefaultSlowDelay
 	}
-	i := &NodeInjector{cfg: cfg, seq: map[int]uint64{}, crashed: map[int]bool{}}
-	i.thCrash = cfg.Crash
-	i.thPartition = i.thCrash + cfg.Partition
-	i.thSlow = i.thPartition + cfg.Slow
-	i.thCorrupt = i.thSlow + cfg.Corrupt
-	return i, nil
+	return &NodeInjector{cfg: cfg, pick: pick, seq: map[int]uint64{}, crashed: map[int]bool{}}, nil
 }
 
 // Config returns the (default-filled) configuration.
@@ -159,18 +145,7 @@ func (i *NodeInjector) Decide(node int, seq uint64) NodeFaultClass {
 	if i == nil {
 		return NodeFaultNone
 	}
-	u := gpusim.HashUnit(uint64(i.cfg.Seed), tagNodeDecide, uint64(node), seq)
-	switch {
-	case u < i.thCrash:
-		return NodeFaultCrash
-	case u < i.thPartition:
-		return NodeFaultPartition
-	case u < i.thSlow:
-		return NodeFaultSlow
-	case u < i.thCorrupt:
-		return NodeFaultCorrupt
-	}
-	return NodeFaultNone
+	return NodeFaultClass(i.pick.Pick(gpusim.HashUnit(uint64(i.cfg.Seed), tagNodeDecide, uint64(node), seq)))
 }
 
 // Crashed reports whether the node has been killed by an injected
@@ -240,35 +215,39 @@ type faultClient struct {
 	inner WorkerClient
 }
 
-func (f *faultClient) Dispatch(ctx context.Context, req DispatchRequest) ([]byte, error) {
+// inject draws the node's next fault and applies the classes that act
+// before the request reaches the worker — crash, partition, slow — on
+// either dispatch surface. It reports whether the answer must come back
+// corrupted, which each surface does its own way.
+func (f *faultClient) inject(ctx context.Context) (corrupt bool, err error) {
 	switch f.inj.next(f.node) {
 	case NodeFaultCrash:
-		return nil, fmt.Errorf("%w: node %d", ErrNodeCrashed, f.node)
+		return false, fmt.Errorf("%w: node %d", ErrNodeCrashed, f.node)
 	case NodeFaultPartition:
 		<-ctx.Done()
-		return nil, fmt.Errorf("cluster: node %d partitioned (injected): %w", f.node, ctx.Err())
+		return false, fmt.Errorf("cluster: node %d partitioned (injected): %w", f.node, ctx.Err())
 	case NodeFaultSlow:
 		select {
 		case <-time.After(f.inj.cfg.SlowDelay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return false, ctx.Err()
 		}
 	case NodeFaultCorrupt:
-		proof, err := f.inner.Dispatch(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		perturbed := append([]byte(nil), proof...)
-		if len(perturbed) > 0 {
-			// Flip a low bit of a coordinate byte (index 1: index 0 is the
-			// point-encoding tag, whose corruption would fail unmarshalling
-			// rather than verification — both paths are worth exercising,
-			// and the tag byte is covered by FuzzClusterWire).
-			perturbed[len(perturbed)/2] ^= 0x01
-		}
-		return perturbed, nil
+		return true, nil
 	}
-	return f.inner.Dispatch(ctx, req)
+	return false, nil
+}
+
+func (f *faultClient) Dispatch(ctx context.Context, req DispatchRequest) ([]byte, error) {
+	corrupt, err := f.inject(ctx)
+	if err != nil {
+		return nil, err
+	}
+	proof, err := f.inner.Dispatch(ctx, req)
+	if err != nil || !corrupt {
+		return proof, err
+	}
+	return flipByte(proof), nil
 }
 
 // msmFaultClient extends faultClient over the MSM dispatch surface. It
@@ -279,27 +258,27 @@ type msmFaultClient struct {
 }
 
 func (f *msmFaultClient) DispatchMSM(ctx context.Context, req MSMDispatchRequest) ([]byte, error) {
-	inner := f.inner.(MSMWorkerClient)
-	switch f.inj.next(f.node) {
-	case NodeFaultCrash:
-		return nil, fmt.Errorf("%w: node %d", ErrNodeCrashed, f.node)
-	case NodeFaultPartition:
-		<-ctx.Done()
-		return nil, fmt.Errorf("cluster: node %d partitioned (injected): %w", f.node, ctx.Err())
-	case NodeFaultSlow:
-		select {
-		case <-time.After(f.inj.cfg.SlowDelay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	case NodeFaultCorrupt:
-		result, err := inner.DispatchMSM(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return corruptMSMResult(req.Curve, result), nil
+	corrupt, err := f.inject(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return inner.DispatchMSM(ctx, req)
+	result, err := f.inner.(MSMWorkerClient).DispatchMSM(ctx, req)
+	if err != nil || !corrupt {
+		return result, err
+	}
+	return corruptMSMResult(req.Curve, result), nil
+}
+
+// flipByte returns a copy of b with a low bit of its middle byte
+// flipped: a coordinate byte of a proof, not the point-encoding tag at
+// index 0, whose corruption would fail unmarshalling rather than
+// verification (the tag byte is covered by FuzzClusterWire).
+func flipByte(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	if len(out) > 0 {
+		out[len(out)/2] ^= 0x01
+	}
+	return out
 }
 
 // corruptMSMResult models a LYING worker, not line noise: it replaces
@@ -320,9 +299,5 @@ func corruptMSMResult(curveName string, result []byte) []byte {
 			return serial.MarshalPoint(crv, &out, false)
 		}
 	}
-	perturbed := append([]byte(nil), result...)
-	if len(perturbed) > 0 {
-		perturbed[len(perturbed)/2] ^= 0x01
-	}
-	return perturbed
+	return flipByte(result)
 }

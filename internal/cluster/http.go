@@ -146,19 +146,26 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 	}
 	proof, err := c.Prove(r.Context(), req)
 	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrNoNodes), errors.Is(err, ErrShuttingDown):
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			code = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			code = 499 // nginx's "client closed request"
-		}
-		http.Error(w, err.Error(), code)
+		http.Error(w, err.Error(), jobErrorStatus(err))
 		return
 	}
 	writeClusterJSON(w, map[string]any{"proof": hex.EncodeToString(proof)})
+}
+
+// jobErrorStatus maps the error of a parsed /v1/prove or /v1/msm job
+// onto its HTTP status. A malformed request never gets here (400 at
+// parse time), so an ErrBadMessage inside a job error is a worker's bad
+// answer — a server-side failure, not the client's.
+func jobErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrNoNodes), errors.Is(err, ErrShuttingDown):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return 499 // nginx's "client closed request"
+	}
+	return http.StatusInternalServerError
 }
 
 // handleMSM serves a client-facing outsourced MSM: the instance is
@@ -182,18 +189,7 @@ func (c *Coordinator) handleMSM(w http.ResponseWriter, r *http.Request) {
 	}
 	result, err := c.MSM(r.Context(), req)
 	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrBadMessage):
-			code = http.StatusBadRequest
-		case errors.Is(err, ErrNoNodes), errors.Is(err, ErrShuttingDown):
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			code = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			code = 499
-		}
-		http.Error(w, err.Error(), code)
+		http.Error(w, err.Error(), jobErrorStatus(err))
 		return
 	}
 	writeClusterJSON(w, map[string]any{"result": hex.EncodeToString(result)})
@@ -236,8 +232,8 @@ func healthStatus(down, degraded bool) string {
 
 // handleNodes serves the node table alone — the operator's view of who
 // is alive, lost or draining, each node's breaker state, in-flight
-// count and dispatch EWMA. Unlike healthz it never answers 503: an
-// empty cluster is an answer, not an outage.
+// count and dispatch/failure counts. Unlike healthz it never answers
+// 503: an empty cluster is an answer, not an outage.
 func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 	writeClusterJSON(w, map[string]any{"nodes": c.Snapshot()})
 }

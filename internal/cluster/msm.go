@@ -59,11 +59,6 @@ type MSMWorkerClient interface {
 	DispatchMSM(ctx context.Context, req MSMDispatchRequest) ([]byte, error)
 }
 
-// msmCircuit keys breaker/affinity bookkeeping for MSM dispatches; MSM
-// shards share the node's breaker with proof jobs — a node that lies
-// about MSMs is not trusted with proofs either.
-func msmCircuit(curveName string) string { return "msm/" + curveName }
-
 // msmRand returns the coordinator's secret-randomness source for the
 // outsourced checks.
 func (c *Coordinator) msmRand() io.Reader {
@@ -87,19 +82,11 @@ func (c *Coordinator) MSM(ctx context.Context, req MSMRequest) ([]byte, error) {
 	if req.N < 1 || req.N > MaxMSMPoints {
 		return nil, fmt.Errorf("%w: n %d outside [1, %d]", ErrBadMessage, req.N, MaxMSMPoints)
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrShuttingDown
+	ctx, cancel, jobID, err := c.startJob(ctx, req.Timeout)
+	if err != nil {
+		return nil, err
 	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = c.cfg.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	jobID := c.lastJob.Add(1)
 
 	// The instance is named by seeds, derived here exactly as the
 	// workers derive their base ranges. The coordinator needs the bases
@@ -124,14 +111,12 @@ func (c *Coordinator) MSM(ctx context.Context, req MSMRequest) ([]byte, error) {
 	a := crv.NewAdder()
 	for i := range shards {
 		if errs[i] != nil {
-			c.noteFailed()
+			c.bump(&c.stats.JobsFailed)
 			return nil, errs[i]
 		}
 		a.Add(total, results[i])
 	}
-	c.mu.Lock()
-	c.stats.JobsCompleted++
-	c.mu.Unlock()
+	c.bump(&c.stats.JobsCompleted)
 	aff := crv.ToAffine(total)
 	return serial.MarshalPoint(crv, &aff, false), nil
 }
@@ -143,9 +128,8 @@ func (c *Coordinator) msmNodeCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	count := 0
-	for _, id := range c.order {
-		n := c.nodes[id]
-		if _, ok := n.client.(MSMWorkerClient); ok && n.dispatchable(now, c.cfg.Breaker) {
+	for _, n := range c.nodes {
+		if n.canTake(now, c.cfg.Breaker, true) {
 			count++
 		}
 	}
@@ -184,7 +168,7 @@ func msmShardRanges(n, nodes int) [][2]int {
 func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Curve, req MSMRequest, points []curve.PointAffine, scalars []bigint.Nat, lo, hi int) (*curve.PointXYZZ, error) {
 	exclude := map[string]bool{}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for try := 0; try < c.cfg.MaxAttempts; try++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -208,29 +192,29 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 		realReq.Scalars = EncodeMSMScalars(scalars[lo:hi], bits)
 		chalReq.Scalars = EncodeMSMScalars(ck.Challenge(), bits)
 
-		nReal, probeReal := c.pickMSMNode(exclude)
+		nReal, probeReal := c.pickNode("", exclude, true)
 		if nReal == nil {
 			return c.msmLocal(crv, points, scalars, lo, hi)
 		}
-		if attempt > 0 {
-			c.mu.Lock()
-			c.stats.Redispatches++
-			c.mu.Unlock()
+		if try > 0 {
+			c.bump(&c.stats.Redispatches)
 			c.metrics.observeRedispatch()
 		}
 		// Distinct challenge node whenever a second one admits (the
 		// adaptive-adversary caveat); otherwise the same node takes both —
-		// oblivious faults are caught regardless of placement.
+		// oblivious faults are caught regardless of placement. The halves
+		// are not hedged for the same reason: in a two-node fleet a hedge
+		// of one half lands on its partner's node, handing one node both
+		// instances.
 		pairExclude := map[string]bool{nReal.id: true}
 		for id := range exclude {
 			pairExclude[id] = true
 		}
-		nChal, probeChal := c.pickMSMNode(pairExclude)
+		nChal, probeChal := c.pickNode("", pairExclude, true)
 		if nChal == nil {
 			nChal, probeChal = nReal, false
 		}
 
-		circ := msmCircuit(req.Curve)
 		var r, t *curve.PointXYZZ
 		var secR, secT float64
 		var errR, errT error
@@ -244,10 +228,10 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 			// the claim is unusable and the attempt re-runs, but the node did
 			// deliver a well-formed answer.
 			if errR == nil {
-				c.recordDispatch(nReal, true, secR, circ)
+				c.recordDispatch(nReal, true, secR, "")
 			}
 			if errT == nil {
-				c.recordDispatch(nChal, true, secT, circ)
+				c.recordDispatch(nChal, true, secT, "")
 			}
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -278,8 +262,8 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 		c.mu.Unlock()
 		c.metrics.observeOutsourceCheck(ok, time.Since(start).Seconds())
 		if ok {
-			c.recordDispatch(nReal, true, secR, circ)
-			c.recordDispatch(nChal, true, secT, circ)
+			c.recordDispatch(nReal, true, secR, "")
+			c.recordDispatch(nChal, true, secT, "")
 			return r, nil
 		}
 
@@ -291,13 +275,9 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 			liar, vind, vindSec = nChal, nReal, secR
 		}
 		if vind != liar {
-			c.recordDispatch(vind, true, vindSec, circ)
+			c.recordDispatch(vind, true, vindSec, "")
 		}
-		c.recordDispatch(liar, false, 0, circ)
-		c.mu.Lock()
-		c.stats.CorruptProofs++
-		c.mu.Unlock()
-		c.metrics.observeCorrupt()
+		c.chargeCorrupt(liar)
 		lastErr = fmt.Errorf("%w (node %s)", ErrCorruptMSM, liar.id)
 		exclude[liar.id] = true
 		if liar != nReal {
@@ -314,102 +294,31 @@ func (c *Coordinator) msmShard(ctx context.Context, jobID uint64, crv *curve.Cur
 // the scalar field, so the shard runs on the CPU Pippenger; the
 // double-and-add reference stays the rejection path's adjudicator only.
 func (c *Coordinator) msmLocal(crv *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, lo, hi int) (*curve.PointXYZZ, error) {
-	c.mu.Lock()
-	c.stats.LocalFallbacks++
-	c.mu.Unlock()
+	c.bump(&c.stats.LocalFallbacks)
 	c.metrics.observeLocalFallback()
 	return msm.MSM(crv, points[lo:hi], scalars[lo:hi], msm.Config{Signed: true})
 }
 
-// pickMSMNode chooses the least-loaded dispatchable node whose client
-// serves MSM shards, ties broken by registration order. Admission and
-// probe semantics mirror pickNode.
-func (c *Coordinator) pickMSMNode(exclude map[string]bool) (n *node, probe bool) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *node
-	for _, id := range c.order {
-		n := c.nodes[id]
-		if exclude[id] || !n.dispatchable(now, c.cfg.Breaker) {
-			continue
-		}
-		if _, ok := n.client.(MSMWorkerClient); !ok {
-			continue
-		}
-		if best == nil || len(n.inflight) < len(best.inflight) {
-			best = n
-		}
-	}
-	if best == nil {
-		return nil, false
-	}
-	admitted, probe := best.br.admit(now, c.cfg.Breaker)
-	if !admitted {
-		return nil, false
-	}
-	return best, probe
-}
-
-// dispatchMSM runs one shard dispatch on one node and decodes the
-// claimed point. Transport failures and non-point answers are charged
-// to the node's breaker; the coordinator's own cancellation is not (the
-// probe slot still comes back). A well-formed claim is NOT settled here
-// — the caller settles it by the check's verdict, so a lying node's
-// breaker sees an unbroken failure streak. The fail-fast rule of
-// dispatchHedged applies: an already-expired deadline never reaches the
-// wire, where TimeoutMS = 0 would mean "worker default".
+// dispatchMSM is one attempt carrying a shard half, then the decode of
+// the claimed point. Junk that is not a curve point is charged like any
+// corrupt response — no outsourced check is needed to see it. A decoded
+// claim comes back unsettled: the caller settles it by the check's
+// verdict, so a lying node's breaker sees an unbroken failure streak.
 func (c *Coordinator) dispatchMSM(ctx context.Context, n *node, probe bool, req MSMDispatchRequest, crv *curve.Curve) (*curve.PointXYZZ, float64, error) {
-	mc, ok := n.client.(MSMWorkerClient)
-	if !ok {
-		if probe {
-			c.releaseProbe(n)
+	raw, sec, err := c.attempt(ctx, n, probe, func(actx context.Context, timeoutMS int64) ([]byte, error) {
+		mc, ok := n.client.(MSMWorkerClient)
+		if !ok { // re-registered since the pick, with a client that does not
+			return nil, fmt.Errorf("cluster: node %s does not serve MSM shards", n.id)
 		}
-		return nil, 0, fmt.Errorf("cluster: node %s does not serve MSM shards", n.id)
-	}
-	var actx context.Context
-	var acancel context.CancelFunc
-	if c.cfg.DispatchTimeout > 0 {
-		actx, acancel = context.WithTimeout(ctx, c.cfg.DispatchTimeout)
-	} else {
-		actx, acancel = context.WithCancel(ctx)
-	}
-	defer acancel()
-	_, release := c.trackInflight(n, acancel)
-	defer release()
-	if deadline, ok := actx.Deadline(); ok {
-		d := time.Until(deadline)
-		if d <= 0 {
-			if probe {
-				c.releaseProbe(n)
-			}
-			return nil, 0, context.DeadlineExceeded
-		}
-		req.TimeoutMS = d.Milliseconds()
-	}
-	start := time.Now()
-	raw, err := mc.DispatchMSM(actx, req)
-	sec := time.Since(start).Seconds()
+		req.TimeoutMS = timeoutMS
+		return mc.DispatchMSM(actx, req)
+	})
 	if err != nil {
-		if ctx.Err() != nil {
-			// Our own deadline or cancellation — not the node's fault.
-			if probe {
-				c.releaseProbe(n)
-			}
-			return nil, sec, err
-		}
-		c.recordDispatch(n, false, sec, msmCircuit(req.Curve))
 		return nil, sec, err
 	}
 	aff, err := serial.UnmarshalPoint(crv, raw)
 	if err != nil {
-		// Junk that is not even a curve point: charged like any corrupt
-		// response, no outsourced check needed to see it.
-		c.recordDispatch(n, false, sec, msmCircuit(req.Curve))
-		c.mu.Lock()
-		c.stats.CorruptProofs++
-		c.mu.Unlock()
-		c.metrics.observeCorrupt()
+		c.chargeCorrupt(n)
 		return nil, sec, fmt.Errorf("%w: node %s returned a non-point: %v", ErrCorruptMSM, n.id, err)
 	}
 	p := crv.NewXYZZ()

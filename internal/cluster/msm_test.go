@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"distmsm/internal/curve"
 	"distmsm/internal/outsource"
@@ -54,6 +55,18 @@ func (c *msmTestClient) DispatchMSM(ctx context.Context, req MSMDispatchRequest)
 	}
 	aff := crv.ToAffine(sum)
 	return serial.MarshalPoint(crv, &aff, false), nil
+}
+
+// msmFuncClient adapts a function to an MSM-capable WorkerClient for
+// unit tests; it proves nothing.
+type msmFuncClient func(ctx context.Context, req MSMDispatchRequest) ([]byte, error)
+
+func (f msmFuncClient) Dispatch(ctx context.Context, req DispatchRequest) ([]byte, error) {
+	return nil, errors.New("msm test client does not prove")
+}
+
+func (f msmFuncClient) DispatchMSM(ctx context.Context, req MSMDispatchRequest) ([]byte, error) {
+	return f(ctx, req)
 }
 
 // msmReferenceBytes is what a fault-free serial evaluation of the whole
@@ -228,6 +241,93 @@ func TestMSMDegradesLocal(t *testing.T) {
 	}
 	if st.MSMChecks != 0 {
 		t.Fatalf("MSMChecks = %d on the local path, want 0", st.MSMChecks)
+	}
+}
+
+// TestMSMAbandonedProbeReleasesSlot is the MSM twin of
+// TestHedgeLoserReleasesProbeSlot: a half-open node whose shard halves
+// are abandoned by the job's own cancellation must give its probe slot
+// back, so a later job can probe the node and re-close its breaker
+// instead of degrading to local for good.
+func TestMSMAbandonedProbeReleasesSlot(t *testing.T) {
+	const (
+		aFail = iota // answer immediately with an error
+		aHang        // block until the dispatch context dies
+		aOK          // answer honestly
+	)
+	var mode atomic.Int32
+	var hung atomic.Int64
+	honest := &msmTestClient{}
+	cooldown := 50 * time.Millisecond
+	c := newTestCoordinator(t, Config{
+		Breaker:   BreakerConfig{FailThreshold: 1, Cooldown: cooldown},
+		MSMRandom: outsource.NewSeededReader(8),
+	}, map[string]WorkerClient{
+		"a": msmFuncClient(func(ctx context.Context, req MSMDispatchRequest) ([]byte, error) {
+			switch mode.Load() {
+			case aFail:
+				return nil, errors.New("injected dispatch failure")
+			case aHang:
+				hung.Add(1)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return honest.DispatchMSM(ctx, req)
+		}),
+	})
+	mustRegister(t, c, "a")
+	req := MSMRequest{Curve: "BN254", PointSeed: 71, ScalarSeed: 72, N: 40, Timeout: 10 * time.Second}
+	want := msmReferenceBytes(t, req)
+
+	// A failure trips a's breaker open; the shard degrades to local.
+	if got, err := c.MSM(context.Background(), req); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("trip job: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
+	if snap := c.Snapshot(); snap[0].BreakerS != "open" {
+		t.Fatalf("node a breaker %q, want open", snap[0].BreakerS)
+	}
+
+	// Past the cooldown a is offered a half-open probe (the real half;
+	// the challenge half shares the node). Both halves hang, and the job
+	// is cancelled while they are out.
+	time.Sleep(cooldown + 20*time.Millisecond)
+	mode.Store(aHang)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.MSM(ctx, req)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for hung.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe job's halves never reached node a")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe job = %v, want context.Canceled", err)
+	}
+	for c.Snapshot()[0].InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned halves never unwound")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// The abandoned probe must have given its slot back: the next job
+	// probes a again, and the now-honest node re-closes its breaker.
+	mode.Store(aOK)
+	fallbacks := c.Stats().LocalFallbacks
+	if got, err := c.MSM(context.Background(), req); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-probe job: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
+	if st := c.Stats(); st.LocalFallbacks != fallbacks {
+		t.Fatalf("re-probe job degraded to local (probe slot leaked?)")
+	}
+	if snap := c.Snapshot(); snap[0].BreakerS != "closed" {
+		t.Fatalf("node a breaker %q after a successful re-probe, want closed", snap[0].BreakerS)
 	}
 }
 

@@ -183,18 +183,10 @@ func ParseMSMDispatchResponse(body []byte) (MSMDispatchResponse, []byte, error) 
 	if err := unmarshalWire(body, &w); err != nil {
 		return MSMDispatchResponse{}, nil, err
 	}
-	if w.Error != "" {
-		if w.Result != "" {
-			return MSMDispatchResponse{}, nil, fmt.Errorf("%w: response carries both result and error", ErrBadMessage)
-		}
-		return w, nil, nil
-	}
-	if w.Result == "" {
-		return MSMDispatchResponse{}, nil, fmt.Errorf("%w: response carries neither result nor error", ErrBadMessage)
-	}
-	result, err := hex.DecodeString(w.Result)
+	// The body cap already bounds the hex.
+	result, err := checkAnswer("result", w.Result, w.Error, maxWireBody)
 	if err != nil {
-		return MSMDispatchResponse{}, nil, fmt.Errorf("%w: result is not hex: %v", ErrBadMessage, err)
+		return MSMDispatchResponse{}, nil, err
 	}
 	return w, result, nil
 }

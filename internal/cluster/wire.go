@@ -1,33 +1,33 @@
 // Package cluster is the multi-node tier of the proving system: a
-// coordinator that fronts several provd worker nodes and lifts the
-// per-GPU scheduler's retry/steal/breaker machinery up one level, to
-// whole nodes.
+// coordinator that fronts several provd worker nodes and routes two
+// kinds of work to them — proof jobs (/v1/prove) and the shards of an
+// outsourced MSM (/v1/msm).
 //
 // The per-GPU layer (internal/core + internal/gpusim) already absorbs
 // device loss, transient kernel failures, stragglers and corrupted
 // partial sums *inside* one process. This package absorbs the failure
 // modes a single process cannot: the whole node crashing, the network
 // partitioning it away, the node silently slowing down, or the node
-// returning a corrupted proof. The machinery mirrors the GPU layer
-// deliberately —
+// returning a corrupted answer. The failure classes are the GPU layer's;
+// the mechanisms are this tier's own —
 //
-//   - heartbeat leases stand in for the scheduler's liveness knowledge
-//     of its worker goroutines: a node that misses its lease is marked
-//     lost and its in-flight jobs are re-dispatched to survivors, the
-//     node-level analogue of shard reassignment after device loss;
-//   - a per-node circuit breaker (Closed → Open → HalfOpen probe,
-//     mirroring internal/gpusim/health.go) fed by dispatch failures and
-//     timeouts quarantines a sick node instead of rediscovering it on
-//     every job;
-//   - hedged dispatch re-issues a job to a second node once the first
-//     has been out past an EWMA latency multiple — the node-level
-//     analogue of the scheduler's straggler speculation, first result
-//     wins, loser cancelled;
-//   - every remote proof is verified before it is accepted, so a
-//     corrupted response costs one redispatch, never correctness;
-//   - when every remote node is lost or quarantined the coordinator
-//     degrades to local in-process proving, the analogue of the
-//     engine's serial fallback when every GPU dies.
+//   - heartbeat leases: a node that misses its lease is marked lost and
+//     its in-flight dispatches are cancelled and re-dispatched to
+//     survivors; a draining node is exempt, its in-flight work is left
+//     to finish;
+//   - a per-node circuit breaker (Closed → Open → HalfOpen probe, on a
+//     wall-clock cooldown) fed by dispatch failures, timeouts and
+//     rejected answers quarantines a sick node instead of rediscovering
+//     it on every job;
+//   - one dispatch path for both kinds of work: pick a node, run one
+//     attempt on it, settle the node's breaker at the verdict (proof
+//     verification or the outsourced check) — never at delivery, so a
+//     node that answers wrongly is never credited;
+//   - proof jobs are hedged: a second node is tried once the first has
+//     been out past an EWMA latency multiple, first result wins, loser
+//     cancelled. MSM shard halves are not (see msm.go);
+//   - when no remote node admits, the coordinator degrades to local
+//     in-process work.
 //
 // Node faults are injectable and deterministic (see faults.go), so the
 // failover paths are tested exactly the way the shard paths are.
@@ -306,23 +306,35 @@ func ParseDispatchResponse(body []byte) (DispatchResponse, []byte, error) {
 	if err := unmarshalWireCapped(body, maxDispatchRespBody, &w); err != nil {
 		return DispatchResponse{}, nil, err
 	}
-	if w.Error != "" {
-		if w.Proof != "" {
-			return DispatchResponse{}, nil, fmt.Errorf("%w: response carries both proof and error", ErrBadMessage)
-		}
-		return w, nil, nil
-	}
-	if w.Proof == "" {
-		return DispatchResponse{}, nil, fmt.Errorf("%w: response carries neither proof nor error", ErrBadMessage)
-	}
-	if len(w.Proof) > maxProofHex {
-		return DispatchResponse{}, nil, fmt.Errorf("%w: proof of %d hex chars above the %d cap", ErrBadMessage, len(w.Proof), maxProofHex)
-	}
-	proof, err := hex.DecodeString(w.Proof)
+	proof, err := checkAnswer("proof", w.Proof, w.Error, maxProofHex)
 	if err != nil {
-		return DispatchResponse{}, nil, fmt.Errorf("%w: proof is not hex: %v", ErrBadMessage, err)
+		return DispatchResponse{}, nil, err
 	}
 	return w, proof, nil
+}
+
+// checkAnswer holds a worker's answer on either dispatch surface to the
+// envelope they share: exactly one of a hex payload (the named field)
+// and an error string, the payload at most hexCap hex characters. It
+// returns the decoded payload, nil for an error answer.
+func checkAnswer(field, payload, errMsg string, hexCap int) ([]byte, error) {
+	if errMsg != "" {
+		if payload != "" {
+			return nil, fmt.Errorf("%w: response carries both %s and error", ErrBadMessage, field)
+		}
+		return nil, nil
+	}
+	if payload == "" {
+		return nil, fmt.Errorf("%w: response carries neither %s nor error", ErrBadMessage, field)
+	}
+	if len(payload) > hexCap {
+		return nil, fmt.Errorf("%w: %s of %d hex chars above the %d cap", ErrBadMessage, field, len(payload), hexCap)
+	}
+	b, err := hex.DecodeString(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s is not hex: %v", ErrBadMessage, field, err)
+	}
+	return b, nil
 }
 
 // ParseProveRequest decodes and validates a client job request against

@@ -92,32 +92,64 @@ type FaultConfig struct {
 // shards when FaultConfig.StragglerFactor is unset.
 const DefaultStragglerFactor = 32
 
+// FaultProb is one fault class's per-decision probability, named for
+// error messages.
+type FaultProb struct {
+	Name string
+	P    float64
+}
+
+// FaultPicker maps a uniform draw in [0, 1) onto fault classes: the
+// cumulative probability thresholds of the classes, in class order. The
+// GPU and node injectors share it, so both validate and pick alike.
+type FaultPicker []float64
+
+// NewFaultPicker checks that every probability is in [0, 1] and that
+// they sum to at most 1 (at most one fault fires per decision); errors
+// wrap bad, the caller's own sentinel.
+func NewFaultPicker(bad error, probs ...FaultProb) (FaultPicker, error) {
+	th := make(FaultPicker, len(probs))
+	sum := 0.0
+	for i, p := range probs {
+		if p.P < 0 || p.P > 1 {
+			return nil, fmt.Errorf("%w: %s = %v outside [0, 1]", bad, p.Name, p.P)
+		}
+		sum += p.P
+		th[i] = sum
+	}
+	if sum > 1 {
+		return nil, fmt.Errorf("%w: probabilities sum to %v > 1", bad, sum)
+	}
+	return th, nil
+}
+
+// Pick returns the 1-based index of the class the draw u falls in, or 0
+// when no fault fires.
+func (p FaultPicker) Pick(u float64) int {
+	for i, th := range p {
+		if u < th {
+			return i + 1
+		}
+	}
+	return 0
+}
+
 // FaultInjector makes deterministic fault decisions from a FaultConfig.
 // It is stateless and safe for concurrent use.
 type FaultInjector struct {
-	cfg FaultConfig
-	// cumulative thresholds over the unit interval, in class order
-	thLost, thTransient, thStraggler, thCorrupt float64
+	cfg  FaultConfig
+	pick FaultPicker // classes in FaultClass order, from FaultDeviceLost
 }
 
 // NewFaultInjector validates cfg and returns an injector for it.
 func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"DeviceLost", cfg.DeviceLost},
-		{"Transient", cfg.Transient},
-		{"Straggler", cfg.Straggler},
-		{"Corrupt", cfg.Corrupt},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return nil, fmt.Errorf("%w: %s = %v outside [0, 1]", ErrBadFaultConfig, p.name, p.v)
-		}
-	}
-	sum := cfg.DeviceLost + cfg.Transient + cfg.Straggler + cfg.Corrupt
-	if sum > 1 {
-		return nil, fmt.Errorf("%w: probabilities sum to %v > 1", ErrBadFaultConfig, sum)
+	pick, err := NewFaultPicker(ErrBadFaultConfig,
+		FaultProb{"DeviceLost", cfg.DeviceLost},
+		FaultProb{"Transient", cfg.Transient},
+		FaultProb{"Straggler", cfg.Straggler},
+		FaultProb{"Corrupt", cfg.Corrupt})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.StragglerFactor < 0 {
 		return nil, fmt.Errorf("%w: StragglerFactor = %v < 0", ErrBadFaultConfig, cfg.StragglerFactor)
@@ -125,12 +157,7 @@ func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) {
 	if cfg.StragglerFactor == 0 {
 		cfg.StragglerFactor = DefaultStragglerFactor
 	}
-	f := &FaultInjector{cfg: cfg}
-	f.thLost = cfg.DeviceLost
-	f.thTransient = f.thLost + cfg.Transient
-	f.thStraggler = f.thTransient + cfg.Straggler
-	f.thCorrupt = f.thStraggler + cfg.Corrupt
-	return f, nil
+	return &FaultInjector{cfg: cfg, pick: pick}, nil
 }
 
 // Config returns the (default-filled) configuration.
@@ -160,17 +187,11 @@ func (f *FaultInjector) Decide(gpu, window, bucketLo, attempt int) Fault {
 	}
 	u := HashUnit(uint64(f.cfg.Seed), tagDecide,
 		uint64(gpu), uint64(window), uint64(bucketLo), uint64(attempt))
-	switch {
-	case u < f.thLost:
-		return Fault{Class: FaultDeviceLost}
-	case u < f.thTransient:
-		return Fault{Class: FaultTransient}
-	case u < f.thStraggler:
-		return Fault{Class: FaultStraggler, Factor: f.cfg.StragglerFactor}
-	case u < f.thCorrupt:
-		return Fault{Class: FaultCorrupt}
+	class := FaultClass(f.pick.Pick(u))
+	if class == FaultStraggler {
+		return Fault{Class: class, Factor: f.cfg.StragglerFactor}
 	}
-	return Fault{}
+	return Fault{Class: class}
 }
 
 // Mix64 is the SplitMix64 finalizer, the mixing primitive of the
