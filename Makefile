@@ -29,7 +29,7 @@ lint: vet
 	fi
 
 race:
-	$(GO) test -race ./internal/core ./internal/msm ./internal/bigint ./internal/field ./internal/curve ./internal/service ./internal/cluster ./internal/groth16 ./internal/ntt ./internal/telemetry ./internal/outsource
+	$(GO) test -race ./internal/core ./internal/msm ./internal/bigint ./internal/field ./internal/curve ./internal/pairing ./internal/service ./internal/cluster ./internal/groth16 ./internal/ntt ./internal/telemetry ./internal/outsource
 
 # The benchmark (cmd/bench, declared by BENCHMARK.json): ten seeded runs
 # of all four workloads, appended as JSON lines to .bench_out/bench.jsonl.
@@ -43,15 +43,18 @@ bench:
 # or allocate unexpectedly without paying the full measurement cost (CI).
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/bigint ./internal/field ./internal/curve
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/bigint ./internal/field ./internal/curve ./internal/pairing
 
 # Short differential-fuzz pass over the unrolled Montgomery kernels,
-# the service's wire-format parser, the /v1/msm shard evaluation
-# (engine + resident tables vs the double-and-add reference) and the
-# proof/VK decoders.
+# binary-GCD inversion (vs Fermat), the value-typed pairing tower (vs a
+# math/big Fp2), the service's wire-format parser, the /v1/msm shard
+# evaluation (engine + resident tables vs the double-and-add reference)
+# and the proof/VK decoders.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMul4Parity -fuzztime=10s ./internal/bigint
 	$(GO) test -run=^$$ -fuzz=FuzzMul6Parity -fuzztime=10s ./internal/bigint
+	$(GO) test -run=^$$ -fuzz=FuzzInvParity -fuzztime=10s ./internal/field
+	$(GO) test -run=^$$ -fuzz=FuzzTowerParity -fuzztime=10s ./internal/pairing
 	$(GO) test -run=^$$ -fuzz=FuzzJobRequest -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRequest -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzMSMShardParity -fuzztime=10s ./internal/service

@@ -20,6 +20,7 @@ type Montgomery struct {
 	NPrime0 uint64 // -N^-1 mod 2^64
 	R2      Nat    // R^2 mod N (for conversion into Montgomery form)
 	One     Nat    // R mod N   (the Montgomery representation of 1)
+	r3      Nat    // R^3 mod N (Inv's final correction)
 	width   int
 
 	// Function-pointer dispatch, selected once at construction: the
@@ -55,6 +56,8 @@ func NewMontgomery(modulus *big.Int) (*Montgomery, error) {
 	m.One = FromBig(new(big.Int).Mod(r, modulus), width)
 	r2 := new(big.Int).Mul(r, r)
 	m.R2 = FromBig(r2.Mod(r2, modulus), width)
+	r3 := new(big.Int).Mul(r2, r)
+	m.r3 = FromBig(r3.Mod(r3, modulus), width)
 	m.selectBackend()
 	return m, nil
 }

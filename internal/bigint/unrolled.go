@@ -1,6 +1,9 @@
 package bigint
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Width-specialised, fully-unrolled Montgomery kernels for the 4-limb
 // (BN254 Fp/Fr, BLS12-381 Fr) and 6-limb (BLS12-381 Fp) fields that
@@ -19,6 +22,46 @@ func unrolledOK(n Nat) bool {
 	top := n[len(n)-1]
 	return top != 0 && top < (1<<63)-1
 }
+
+// Mont4 is the fixed-width face of an unrolled4 Montgomery context: its
+// methods take *[4]uint64 and call the 4-limb kernels directly — no
+// function pointer, no slice header — so value-typed arithmetic built on
+// it (the pairing tower) keeps its operands on the stack.
+type Mont4 struct {
+	m  *Montgomery
+	n  [4]uint64
+	np uint64
+}
+
+// NewMont4 returns the fixed-width view of m, which must have selected
+// the unrolled4 backend.
+func NewMont4(m *Montgomery) (*Mont4, error) {
+	if m.backend != "unrolled4" {
+		return nil, fmt.Errorf("bigint: Mont4 needs the unrolled4 backend, have %s", m.backend)
+	}
+	return &Mont4{m: m, n: [4]uint64(m.N), np: m.NPrime0}, nil
+}
+
+// Mul sets z = x·y·R⁻¹ mod N; z may alias x or y.
+func (m *Mont4) Mul(z, x, y *[4]uint64) { mul4(z, x, y, &m.n, m.np) }
+
+// Square sets z = x²·R⁻¹ mod N; z may alias x.
+func (m *Mont4) Square(z, x *[4]uint64) { sqr4(z, x, &m.n, m.np) }
+
+// Add sets z = x + y mod N.
+func (m *Mont4) Add(z, x, y *[4]uint64) { add4(z, x, y, &m.n) }
+
+// Sub sets z = x − y mod N.
+func (m *Mont4) Sub(z, x, y *[4]uint64) { sub4(z, x, y, &m.n) }
+
+// Double sets z = 2x mod N.
+func (m *Mont4) Double(z, x *[4]uint64) { add4(z, x, x, &m.n) }
+
+// Neg sets z = −x mod N.
+func (m *Mont4) Neg(z, x *[4]uint64) { sub4(z, &[4]uint64{}, x, &m.n) }
+
+// Inv sets z = x⁻¹ in Montgomery form (zero for zero); see Montgomery.Inv.
+func (m *Mont4) Inv(z, x *[4]uint64) { m.m.Inv(z[:], x[:]) }
 
 // madd0 returns the high limb of a*b+c.
 func madd0(a, b, c uint64) (hi uint64) {

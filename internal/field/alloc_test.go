@@ -31,6 +31,15 @@ func TestFieldOpsAllocFree(t *testing.T) {
 			}
 		}
 	}
+	// Inv at every width: the 4- and 6-limb unrolled fields and the
+	// generic one-limb field.
+	for _, name := range []string{"bn254-fp", "bls381-fp", "small"} {
+		f := mustField(t, name)
+		x, z := f.Rand(rand.New(rand.NewSource(93))), f.NewElement()
+		if allocs := testing.AllocsPerRun(100, func() { f.Inv(z, x) }); allocs != 0 {
+			t.Errorf("%s: Inv allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
 }
 
 // TestBatchInverterAllocFree: after the warm-up call sizes the arena,

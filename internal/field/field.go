@@ -32,7 +32,6 @@ type Field struct {
 
 	pPlus1Div4  *big.Int // (p+1)/4 when p ≡ 3 mod 4, else nil
 	pMinus1Div2 *big.Int // (p-1)/2, for Legendre
-	pMinus2     *big.Int // p-2, for Fermat inversion
 }
 
 // New constructs a field for the given odd prime modulus. Primality is the
@@ -50,7 +49,6 @@ func New(name string, modulus *big.Int) (*Field, error) {
 	}
 	pm1 := new(big.Int).Sub(modulus, big.NewInt(1))
 	f.pMinus1Div2 = new(big.Int).Rsh(pm1, 1)
-	f.pMinus2 = new(big.Int).Sub(modulus, big.NewInt(2))
 
 	q := new(big.Int).Set(pm1)
 	for q.Bit(0) == 0 {
@@ -163,19 +161,12 @@ func (f *Field) Equal(x, y Element) bool { return x.Equal(y) }
 func (f *Field) Set(z, y Element) { z.Set(y) }
 
 // Exp sets z = x^e for a non-negative big exponent, by square-and-multiply.
+// z may alias x.
 func (f *Field) Exp(z, x Element, e *big.Int) {
-	f.expInto(z, x, e, f.NewElement(), f.NewElement(), f.NewElement())
-}
-
-// expInto is the allocation-free square-and-multiply core: acc, base and
-// tmp are caller-provided scratch elements (distinct from one another;
-// z may alias x). big.Int.Bit and BitLen do not allocate.
-func (f *Field) expInto(z, x Element, e *big.Int, acc, base, tmp Element) {
 	if e.Sign() < 0 {
 		panic("field: negative exponent")
 	}
-	f.SetOne(acc)
-	base.Set(x)
+	acc, base, tmp := f.One(), x.Clone(), f.NewElement()
 	for i := 0; i < e.BitLen(); i++ {
 		if e.Bit(i) == 1 {
 			f.Mul(tmp, acc, base)
@@ -187,8 +178,10 @@ func (f *Field) expInto(z, x Element, e *big.Int, acc, base, tmp Element) {
 	z.Set(acc)
 }
 
-// Inv sets z = x^-1 via Fermat's little theorem. Inverting zero yields zero.
-func (f *Field) Inv(z, x Element) { f.Exp(z, x, f.pMinus2) }
+// Inv sets z = x^-1 by binary extended GCD (bigint.Montgomery.Inv): no
+// allocation at any width, variable-time. Inverting zero yields zero.
+// Exp(x, p-2) is the fuzzed oracle (FuzzInvParity).
+func (f *Field) Inv(z, x Element) { f.mont.Inv(z, x) }
 
 // BatchInvert inverts every element of xs in place using Montgomery's
 // trick: one inversion plus 3(n-1) multiplications. Zero entries stay zero.
@@ -197,27 +190,21 @@ func (f *Field) BatchInvert(xs []Element) {
 }
 
 // BatchInverter is the reusable-scratch form of BatchInvert: the prefix
-// products, the Fermat-inversion registers and their limb backing are
-// allocated once and reused across calls, so a warmed inverter performs
-// zero allocations per Invert. Not safe for concurrent use; give each
-// worker its own.
+// products, the registers and their limb backing are allocated once and
+// reused across calls, so a warmed inverter performs zero allocations
+// per Invert. Not safe for concurrent use; give each worker its own.
 type BatchInverter struct {
 	f      *Field
 	prefix []Element // capacity slices into arena
 	arena  []uint64
-	// registers: running product, its inverse, swap scratch, and the
-	// three expInto registers.
-	acc, inv, tmp, ea, eb, ec Element
+	// registers: running product, its inverse, swap scratch.
+	acc, inv, tmp Element
 }
 
 // NewBatchInverter returns an inverter pre-sized for batches of up to
 // `capacity` elements (it grows transparently if exceeded).
 func (f *Field) NewBatchInverter(capacity int) *BatchInverter {
-	bi := &BatchInverter{
-		f:   f,
-		acc: f.NewElement(), inv: f.NewElement(), tmp: f.NewElement(),
-		ea: f.NewElement(), eb: f.NewElement(), ec: f.NewElement(),
-	}
+	bi := &BatchInverter{f: f, acc: f.NewElement(), inv: f.NewElement(), tmp: f.NewElement()}
 	bi.grow(capacity)
 	return bi
 }
@@ -250,7 +237,7 @@ func (bi *BatchInverter) Invert(xs []Element) {
 			bi.acc.Set(bi.tmp)
 		}
 	}
-	f.expInto(bi.inv, bi.acc, f.pMinus2, bi.ea, bi.eb, bi.ec)
+	f.Inv(bi.inv, bi.acc)
 	for i := n - 1; i >= 0; i-- {
 		if xs[i].IsZero() {
 			continue

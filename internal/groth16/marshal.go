@@ -24,13 +24,13 @@ func (e *Engine) marshalG2(q *pairing.G2Affine) []byte {
 	out[0] = serial.PrefixUncompressed
 	es := serial.ElementSize(e.P.Fp)
 	off := 1
-	copy(out[off:], serial.MarshalElement(e.P.Fp, q.X.A0))
+	copy(out[off:], serial.MarshalElement(e.P.Fp, q.X.A0[:]))
 	off += es
-	copy(out[off:], serial.MarshalElement(e.P.Fp, q.X.A1))
+	copy(out[off:], serial.MarshalElement(e.P.Fp, q.X.A1[:]))
 	off += es
-	copy(out[off:], serial.MarshalElement(e.P.Fp, q.Y.A0))
+	copy(out[off:], serial.MarshalElement(e.P.Fp, q.Y.A0[:]))
 	off += es
-	copy(out[off:], serial.MarshalElement(e.P.Fp, q.Y.A1))
+	copy(out[off:], serial.MarshalElement(e.P.Fp, q.Y.A1[:]))
 	return out
 }
 
@@ -66,9 +66,16 @@ func (e *Engine) unmarshalG2(b []byte) (pairing.G2Affine, error) {
 	if err != nil {
 		return pairing.G2Affine{}, err
 	}
-	q := pairing.G2Affine{X: pairing.E2{A0: x0, A1: x1}, Y: pairing.E2{A0: y0, A1: y1}}
+	q := pairing.G2Affine{
+		X: pairing.E2{A0: [4]uint64(x0), A1: [4]uint64(x1)},
+		Y: pairing.E2{A0: [4]uint64(y0), A1: [4]uint64(y1)},
+	}
 	if !e.P.G2.IsOnCurve(&q) {
 		return pairing.G2Affine{}, fmt.Errorf("groth16: G2 point not on the twist")
+	}
+	// The twist has a cofactor: on-curve is not in-G2.
+	if !e.P.G2InSubgroup(&q) {
+		return pairing.G2Affine{}, fmt.Errorf("groth16: G2 point not in the prime-order subgroup")
 	}
 	return q, nil
 }

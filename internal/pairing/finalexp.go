@@ -13,28 +13,9 @@ import "math/big"
 // is conjugation. The split cuts the exponentiation work by ~2.5× versus
 // the single (p¹²−1)/r exponent; both paths are kept and cross-checked.
 
-// frobP2Gamma returns γ = ξ^((p²−1)/6); the p²-power Frobenius fixes Fp2
-// pointwise and maps w^k ↦ γ^k·w^k. The cache is populated once by
-// NewBN254 — after construction this is a pure read, safe for the
-// concurrent verifiers the proving service runs.
-func (e *Pairing) frobP2Gamma() *E2 {
-	if e.gammaP2 != nil {
-		return e.gammaP2
-	}
-	t := e.T
-	p2 := new(big.Int).Mul(e.Fp.Modulus, e.Fp.Modulus)
-	exp := new(big.Int).Sub(p2, big.NewInt(1))
-	exp.Div(exp, big.NewInt(6))
-	xi := E2{e.Fp.FromUint64(9), e.Fp.One()}
-	g := e2Exp(t, &xi, exp)
-	e.gammaP2 = &g
-	return e.gammaP2
-}
-
 // e2Exp computes x^k in Fp2 by square-and-multiply.
 func e2Exp(t *Tower, x *E2, k *big.Int) E2 {
-	acc := t.E2One()
-	base := t.E2Clone(x)
+	acc, base := t.E2One(), *x
 	for i := 0; i < k.BitLen(); i++ {
 		if k.Bit(i) == 1 {
 			t.E2Mul(&acc, &acc, &base)
@@ -44,21 +25,14 @@ func e2Exp(t *Tower, x *E2, k *big.Int) E2 {
 	return acc
 }
 
-// FrobeniusP2 sets z = x^(p²). In the basis {v^j·w^k}, the coefficient of
-// v^j·w^k is scaled by γ^(2j+k) (Fp2 coefficients are fixed by the
-// p²-Frobenius).
+// FrobeniusP2 sets z = x^(p²). With γ = ξ^((p²−1)/6), the p²-power
+// Frobenius fixes Fp2 pointwise and maps w^k ↦ γ^k·w^k, so in the basis
+// {v^j·w^k} the coefficient of v^j·w^k is scaled by γ^(2j+k); the powers
+// γ¹…γ⁵ are cached by NewBN254.
 func (e *Pairing) FrobeniusP2(z, x *E12) {
-	t := e.T
-	g := e.frobP2Gamma()
-	// Powers γ¹..γ⁵.
-	var pow [6]E2
-	pow[0] = t.E2One()
-	for i := 1; i < 6; i++ {
-		pow[i] = t.E2Zero()
-		t.E2Mul(&pow[i], &pow[i-1], g)
-	}
+	t, pow := e.T, &e.frobGamma
 	// exponents: D0 = (c00, c10·v, c20·v²) → 0, 2, 4; D1 = w·(…) → 1, 3, 5.
-	t.E2Set(&z.D0.C0, &x.D0.C0)
+	z.D0.C0 = x.D0.C0
 	t.E2Mul(&z.D0.C1, &x.D0.C1, &pow[2])
 	t.E2Mul(&z.D0.C2, &x.D0.C2, &pow[4])
 	t.E2Mul(&z.D1.C0, &x.D1.C0, &pow[1])
@@ -71,30 +45,15 @@ func (e *Pairing) FrobeniusP2(z, x *E12) {
 func (e *Pairing) FinalExponentiation(f *E12) E12 {
 	t := e.T
 	// Easy part 1: f ← f^(p⁶−1) = conj(f)·f⁻¹.
-	inv, conj := t.E12Zero(), t.E12Zero()
+	var inv, f1 E12
 	t.E12Inv(&inv, f)
-	t.E12Conjugate(&conj, f)
-	f1 := t.E12Zero()
-	t.E12Mul(&f1, &conj, &inv)
+	t.E12Conjugate(&f1, f)
+	t.E12Mul(&f1, &f1, &inv)
 	// Easy part 2: f ← f^(p²+1) = frobᵖ²(f)·f.
-	f2 := t.E12Zero()
+	var f2 E12
 	e.FrobeniusP2(&f2, &f1)
 	t.E12Mul(&f2, &f2, &f1)
 	// Hard part: exponent (p⁴ − p² + 1)/r.
-	out := t.E12Zero()
-	t.E12Exp(&out, &f2, e.hardExp())
-	return out
-}
-
-func (e *Pairing) hardExp() *big.Int {
-	if e.hardPart != nil {
-		return e.hardPart
-	}
-	p2 := new(big.Int).Mul(e.Fp.Modulus, e.Fp.Modulus)
-	p4 := new(big.Int).Mul(p2, p2)
-	h := new(big.Int).Sub(p4, p2)
-	h.Add(h, big.NewInt(1))
-	h.Div(h, e.Fr.Modulus)
-	e.hardPart = h
-	return h
+	t.E12Exp(&f2, &f2, e.hardPart)
+	return f2
 }

@@ -3,6 +3,7 @@ package pairing
 import (
 	"context"
 	"math/big"
+	"math/bits"
 
 	"distmsm/internal/field"
 )
@@ -15,7 +16,7 @@ type G2Affine struct {
 }
 
 // G2Jacobian is a Jacobian-coordinate point on the twist (Z = 0 at
-// infinity).
+// infinity; the zero value is the point at infinity).
 type G2Jacobian struct {
 	X, Y, Z E2
 }
@@ -42,16 +43,15 @@ func NewG2(t *Tower) *G2 {
 	f := t.F
 	g := &G2{T: t}
 	// b' = 3/(9+u)
-	xi := E2{f.FromUint64(9), f.One()}
-	xiInv := t.E2Zero()
-	t.E2Inv(&xiInv, &xi)
-	three := f.FromUint64(3)
-	g.B = t.E2Zero()
-	t.E2MulByFp(&g.B, &xiInv, three)
+	xi := E2{fe(f.FromUint64(9)), t.one}
+	t.E2Inv(&g.B, &xi)
+	three := fe(f.FromUint64(3))
+	t.E2MulByFp(&g.B, &g.B, &three)
 
+	dec := func(s string) fe { return fe(f.FromBig(mustBig(s))) }
 	g.Gen = G2Affine{
-		X: E2{f.FromBig(mustBig(g2x0Dec)), f.FromBig(mustBig(g2x1Dec))},
-		Y: E2{f.FromBig(mustBig(g2y0Dec)), f.FromBig(mustBig(g2y1Dec))},
+		X: E2{dec(g2x0Dec), dec(g2x1Dec)},
+		Y: E2{dec(g2y0Dec), dec(g2y1Dec)},
 	}
 	return g
 }
@@ -70,21 +70,20 @@ func (g *G2) IsOnCurve(p *G2Affine) bool {
 		return true
 	}
 	t := g.T
-	lhs, rhs := t.E2Zero(), t.E2Zero()
+	var lhs, rhs E2
 	t.E2Square(&lhs, &p.Y)
 	t.E2Square(&rhs, &p.X)
 	t.E2Mul(&rhs, &rhs, &p.X)
 	t.E2Add(&rhs, &rhs, &g.B)
-	return t.E2Equal(&lhs, &rhs)
+	return lhs == rhs
 }
 
 // FromAffine lifts an affine point to Jacobian coordinates.
 func (g *G2) FromAffine(p *G2Affine) G2Jacobian {
-	t := g.T
 	if p.Inf {
-		return G2Jacobian{X: t.E2One(), Y: t.E2One(), Z: t.E2Zero()}
+		return G2Jacobian{}
 	}
-	return G2Jacobian{X: t.E2Clone(&p.X), Y: t.E2Clone(&p.Y), Z: t.E2One()}
+	return G2Jacobian{X: p.X, Y: p.Y, Z: g.T.E2One()}
 }
 
 // ToAffine normalises a Jacobian point (one Fp2 inversion).
@@ -93,13 +92,13 @@ func (g *G2) ToAffine(p *G2Jacobian) G2Affine {
 	if t.E2IsZero(&p.Z) {
 		return G2Affine{Inf: true}
 	}
-	zInv, zInv2, zInv3 := t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var zInv, zInv2 E2
 	t.E2Inv(&zInv, &p.Z)
 	t.E2Square(&zInv2, &zInv)
-	t.E2Mul(&zInv3, &zInv2, &zInv)
-	out := G2Affine{X: t.E2Zero(), Y: t.E2Zero()}
+	t.E2Mul(&zInv, &zInv2, &zInv)
+	var out G2Affine
 	t.E2Mul(&out.X, &p.X, &zInv2)
-	t.E2Mul(&out.Y, &p.Y, &zInv3)
+	t.E2Mul(&out.Y, &p.Y, &zInv)
 	return out
 }
 
@@ -109,7 +108,7 @@ func (g *G2) Double(p *G2Jacobian) {
 	if t.E2IsZero(&p.Z) {
 		return
 	}
-	a, b, c, d, e, f := t.E2Zero(), t.E2Zero(), t.E2Zero(), t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var a, b, c, d, e, f E2
 	t.E2Square(&a, &p.X) // A = X²
 	t.E2Square(&b, &p.Y) // B = Y²
 	t.E2Square(&c, &b)   // C = B²
@@ -148,12 +147,11 @@ func (g *G2) AddMixed(p *G2Jacobian, q *G2Affine) {
 		*p = g.FromAffine(q)
 		return
 	}
-	z1z1, u2, s2 := t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var z1z1, u2, s2, h, rr E2
 	t.E2Square(&z1z1, &p.Z)
 	t.E2Mul(&u2, &q.X, &z1z1)
 	t.E2Mul(&s2, &q.Y, &p.Z)
 	t.E2Mul(&s2, &s2, &z1z1)
-	h, rr := t.E2Zero(), t.E2Zero()
 	t.E2Sub(&h, &u2, &p.X)
 	t.E2Sub(&rr, &s2, &p.Y)
 	if t.E2IsZero(&h) {
@@ -161,11 +159,11 @@ func (g *G2) AddMixed(p *G2Jacobian, q *G2Affine) {
 			g.Double(p)
 			return
 		}
-		*p = G2Jacobian{X: t.E2One(), Y: t.E2One(), Z: t.E2Zero()}
+		*p = G2Jacobian{}
 		return
 	}
 	t.E2Double(&rr, &rr) // r = 2(S2 − Y1)
-	hh, i, j, v := t.E2Zero(), t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var hh, i, j, v, x3 E2
 	t.E2Square(&hh, &h)
 	t.E2Double(&i, &hh)
 	t.E2Double(&i, &i) // I = 4HH
@@ -177,25 +175,22 @@ func (g *G2) AddMixed(p *G2Jacobian, q *G2Affine) {
 	t.E2Sub(&p.Z, &p.Z, &z1z1)
 	t.E2Sub(&p.Z, &p.Z, &hh)
 	// X3 = r² − J − 2V
-	x3 := t.E2Zero()
 	t.E2Square(&x3, &rr)
 	t.E2Sub(&x3, &x3, &j)
 	t.E2Sub(&x3, &x3, &v)
 	t.E2Sub(&x3, &x3, &v)
 	// Y3 = r(V − X3) − 2·Y1·J
-	y3 := t.E2Zero()
 	t.E2Sub(&v, &v, &x3)
-	t.E2Mul(&y3, &rr, &v)
 	t.E2Mul(&j, &p.Y, &j)
+	t.E2Mul(&p.Y, &rr, &v)
 	t.E2Double(&j, &j)
-	t.E2Sub(&y3, &y3, &j)
-	t.E2Set(&p.X, &x3)
-	t.E2Set(&p.Y, &y3)
+	t.E2Sub(&p.Y, &p.Y, &j)
+	p.X = x3
 }
 
 // ScalarMul returns k·q by double-and-add.
 func (g *G2) ScalarMul(q *G2Affine, k *big.Int) G2Affine {
-	acc := g.FromAffine(&G2Affine{Inf: true})
+	var acc G2Jacobian
 	for i := k.BitLen() - 1; i >= 0; i-- {
 		g.Double(&acc)
 		if k.Bit(i) == 1 {
@@ -222,9 +217,8 @@ func (g *G2) Neg(p *G2Affine) G2Affine {
 	if p.Inf {
 		return G2Affine{Inf: true}
 	}
-	t := g.T
-	out := G2Affine{X: t.E2Clone(&p.X), Y: t.E2Zero()}
-	t.E2Neg(&out.Y, &p.Y)
+	out := G2Affine{X: p.X}
+	g.T.E2Neg(&out.Y, &p.Y)
 	return out
 }
 
@@ -233,30 +227,37 @@ func (g *G2) Equal(p, q *G2Affine) bool {
 	if p.Inf || q.Inf {
 		return p.Inf == q.Inf
 	}
-	return g.T.E2Equal(&p.X, &q.X) && g.T.E2Equal(&p.Y, &q.Y)
+	return p.X == q.X && p.Y == q.Y
 }
 
-// MSMContext computes Σ k_i·Q_i with a windowed Pippenger over G2 (the
-// prover's second MSM; window fixed at 8 bits, adequate for the
-// functional sizes), honouring ctx at every window boundary and every 64 scalars inside the
-// scatter loop, so a cancellation lands within O(64) bucket additions
-// instead of waiting out the whole MSM.
+// MSMContext computes Σ k_i·Q_i by Horner over signed-digit windows:
+// per window, every point lands in a Jacobian bucket (|digit| buckets,
+// negated for negative digits), sumBuckets folds the buckets, and the
+// window sum joins the accumulator after s doublings — so the whole MSM
+// costs one Fp2 inversion, in the final ToAffine. The window s grows
+// with log n (≈ ½·log₂ n + 2, near the minimum of ⌈b/s⌉·(n + 2^s) for
+// the prover's n). ctx is honoured at every window boundary and every 64
+// scalars inside the scatter loop, so a cancellation lands within O(64)
+// bucket additions instead of waiting out the whole MSM.
 func (g *G2) MSMContext(ctx context.Context, points []G2Affine, scalars []*big.Int) (G2Affine, error) {
-	const s = 8
 	if err := ctx.Err(); err != nil {
 		return G2Affine{Inf: true}, err
 	}
 	maxBits := 0
 	for _, k := range scalars {
-		if k.BitLen() > maxBits {
-			maxBits = k.BitLen()
-		}
+		maxBits = max(maxBits, k.BitLen())
 	}
 	if maxBits == 0 {
 		return G2Affine{Inf: true}, nil
 	}
-	nWin := (maxBits + s - 1) / s
-	acc := g.FromAffine(&G2Affine{Inf: true})
+	s := bits.Len(uint(len(scalars)))/2 + 2
+	nWin := (maxBits+s-1)/s + 1 // +1: signed-digit carry window
+	digits := make([]int32, len(scalars)*nWin)
+	for i, k := range scalars {
+		signedDigitsBig(k, maxBits, s, digits[i*nWin:i*nWin])
+	}
+	buckets := make([]G2Jacobian, 1<<(s-1))
+	var acc G2Jacobian
 	for j := nWin - 1; j >= 0; j-- {
 		if err := ctx.Err(); err != nil {
 			return G2Affine{Inf: true}, err
@@ -264,38 +265,17 @@ func (g *G2) MSMContext(ctx context.Context, points []G2Affine, scalars []*big.I
 		for b := 0; b < s; b++ {
 			g.Double(&acc)
 		}
-		buckets := make([]*G2Jacobian, 1<<s)
-		for i, k := range scalars {
+		clear(buckets)
+		for i := range scalars {
 			if i&63 == 0 {
 				if err := ctx.Err(); err != nil {
 					return G2Affine{Inf: true}, err
 				}
 			}
-			d := 0
-			for b := 0; b < s; b++ {
-				d |= int(k.Bit(j*s+b)) << b
-			}
-			if d == 0 {
-				continue
-			}
-			if buckets[d] == nil {
-				p := g.FromAffine(&G2Affine{Inf: true})
-				buckets[d] = &p
-			}
-			g.AddMixed(buckets[d], &points[i])
+			g.addSigned(buckets, &points[i], digits[i*nWin+j])
 		}
-		running := g.FromAffine(&G2Affine{Inf: true})
-		total := g.FromAffine(&G2Affine{Inf: true})
-		for d := len(buckets) - 1; d >= 1; d-- {
-			if buckets[d] != nil {
-				aff := g.ToAffine(buckets[d])
-				g.AddMixed(&running, &aff)
-			}
-			raff := g.ToAffine(&running)
-			g.AddMixed(&total, &raff)
-		}
-		taff := g.ToAffine(&total)
-		g.AddMixed(&acc, &taff)
+		sum := g.sumBuckets(buckets)
+		g.AddJac(&acc, &sum)
 	}
 	return g.ToAffine(&acc), nil
 }

@@ -3,17 +3,17 @@ package pairing
 import (
 	"context"
 	"math/big"
+	"slices"
 )
 
 // This file is the G2 counterpart of the §2.3.1 fixed-base evaluation:
 // per-window tables 2^(j·s)·Q_i let every window's signed digits scatter
 // into one shared bucket array, and a Jacobian-coordinate bucket reduce
-// defers the (two-inversion) Fp2 normalisation to a single final
-// ToAffine. The windowed g2.MSM above normalises every bucket and every
-// running sum per window — thousands of Fp2 inversions per proof — so
-// for the repeated proving-key B2 column this path is the difference
-// between the G2 MSM dominating the proof and it disappearing into the
-// noise.
+// defers the Fp2 normalisation to a single final ToAffine. The same
+// bucket reduce (sumBuckets) serves the uncached Horner MSM in g2.go;
+// what the tables buy is the doubling ladder: every window's digits land
+// in one bucket array, so the reduce runs once instead of once per
+// window.
 
 // AddJac sets p += q for Jacobian q (add-2007-bl with edge handling).
 func (g *G2) AddJac(p *G2Jacobian, q *G2Jacobian) {
@@ -22,20 +22,18 @@ func (g *G2) AddJac(p *G2Jacobian, q *G2Jacobian) {
 		return
 	}
 	if t.E2IsZero(&p.Z) {
-		*p = G2Jacobian{X: t.E2Clone(&q.X), Y: t.E2Clone(&q.Y), Z: t.E2Clone(&q.Z)}
+		*p = *q
 		return
 	}
-	z1z1, z2z2 := t.E2Zero(), t.E2Zero()
+	var z1z1, z2z2, u1, u2, s1, s2, h, rr E2
 	t.E2Square(&z1z1, &p.Z)
 	t.E2Square(&z2z2, &q.Z)
-	u1, u2, s1, s2 := t.E2Zero(), t.E2Zero(), t.E2Zero(), t.E2Zero()
 	t.E2Mul(&u1, &p.X, &z2z2)
 	t.E2Mul(&u2, &q.X, &z1z1)
 	t.E2Mul(&s1, &p.Y, &q.Z)
 	t.E2Mul(&s1, &s1, &z2z2)
 	t.E2Mul(&s2, &q.Y, &p.Z)
 	t.E2Mul(&s2, &s2, &z1z1)
-	h, rr := t.E2Zero(), t.E2Zero()
 	t.E2Sub(&h, &u2, &u1)
 	t.E2Sub(&rr, &s2, &s1)
 	if t.E2IsZero(&h) {
@@ -43,11 +41,11 @@ func (g *G2) AddJac(p *G2Jacobian, q *G2Jacobian) {
 			g.Double(p)
 			return
 		}
-		*p = G2Jacobian{X: t.E2One(), Y: t.E2One(), Z: t.E2Zero()}
+		*p = G2Jacobian{}
 		return
 	}
 	t.E2Double(&rr, &rr) // r = 2(S2 − S1)
-	i, j, v := t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var i, j, v E2
 	t.E2Double(&i, &h)
 	t.E2Square(&i, &i) // I = (2H)²
 	t.E2Mul(&j, &h, &i)
@@ -59,71 +57,83 @@ func (g *G2) AddJac(p *G2Jacobian, q *G2Jacobian) {
 	t.E2Sub(&p.Z, &p.Z, &z2z2)
 	t.E2Mul(&p.Z, &p.Z, &h)
 	// X3 = r² − J − 2V
-	x3 := t.E2Zero()
-	t.E2Square(&x3, &rr)
-	t.E2Sub(&x3, &x3, &j)
-	t.E2Sub(&x3, &x3, &v)
-	t.E2Sub(&x3, &x3, &v)
+	t.E2Square(&p.X, &rr)
+	t.E2Sub(&p.X, &p.X, &j)
+	t.E2Sub(&p.X, &p.X, &v)
+	t.E2Sub(&p.X, &p.X, &v)
 	// Y3 = r(V − X3) − 2·S1·J
-	y3 := t.E2Zero()
-	t.E2Sub(&v, &v, &x3)
-	t.E2Mul(&y3, &rr, &v)
+	t.E2Sub(&v, &v, &p.X)
+	t.E2Mul(&p.Y, &rr, &v)
 	t.E2Mul(&j, &s1, &j)
 	t.E2Double(&j, &j)
-	t.E2Sub(&y3, &y3, &j)
-	t.E2Set(&p.X, &x3)
-	t.E2Set(&p.Y, &y3)
+	t.E2Sub(&p.Y, &p.Y, &j)
+}
+
+// addSigned files q under a signed digit d: into buckets[d−1] for d > 0,
+// negated into buckets[−d−1] for d < 0.
+func (g *G2) addSigned(buckets []G2Jacobian, q *G2Affine, d int32) {
+	switch {
+	case d > 0:
+		g.AddMixed(&buckets[d-1], q)
+	case d < 0:
+		neg := G2Affine{X: q.X, Inf: q.Inf}
+		g.T.E2Neg(&neg.Y, &q.Y)
+		g.AddMixed(&buckets[-d-1], &neg)
+	}
+}
+
+// sumBuckets returns Σ_d d·buckets[d−1] by the running-suffix sum, in
+// Jacobian coordinates throughout: the bucket reduce both G2 MSMs share.
+func (g *G2) sumBuckets(buckets []G2Jacobian) G2Jacobian {
+	var running, total G2Jacobian
+	for d := len(buckets) - 1; d >= 0; d-- {
+		g.AddJac(&running, &buckets[d])
+		g.AddJac(&total, &running)
+	}
+	return total
 }
 
 // e2BatchInv inverts every non-zero element in place with the Montgomery
 // trick: one E2Inv plus 3(n−1) multiplications.
-func (g *G2) e2BatchInv(xs []*E2) {
+func (g *G2) e2BatchInv(xs []E2) {
 	t := g.T
-	live := xs[:0]
-	for _, x := range xs {
-		if !t.E2IsZero(x) {
-			live = append(live, x)
+	prefix := make([]E2, len(xs))
+	acc := t.E2One()
+	for i := range xs {
+		prefix[i] = acc
+		if !t.E2IsZero(&xs[i]) {
+			t.E2Mul(&acc, &acc, &xs[i])
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	prefix := make([]E2, len(live))
-	acc := t.E2One()
-	for i, x := range live {
-		prefix[i] = t.E2Clone(&acc)
-		t.E2Mul(&acc, &acc, x)
-	}
-	inv := t.E2Zero()
-	t.E2Inv(&inv, &acc)
-	for i := len(live) - 1; i >= 0; i-- {
-		tmp := t.E2Zero()
-		t.E2Mul(&tmp, &inv, &prefix[i])
-		t.E2Mul(&inv, &inv, live[i])
-		t.E2Set(live[i], &tmp)
+	t.E2Inv(&acc, &acc)
+	for i := len(xs) - 1; i >= 0; i-- {
+		if t.E2IsZero(&xs[i]) {
+			continue
+		}
+		var inv E2
+		t.E2Mul(&inv, &acc, &prefix[i])
+		t.E2Mul(&acc, &acc, &xs[i])
+		xs[i] = inv
 	}
 }
 
 // batchToAffine normalises a Jacobian column with one shared inversion.
 func (g *G2) batchToAffine(col []G2Jacobian) []G2Affine {
 	t := g.T
-	zs := make([]*E2, len(col))
-	zcopy := make([]E2, len(col))
+	zInv := make([]E2, len(col))
 	for i := range col {
-		zcopy[i] = t.E2Clone(&col[i].Z)
-		zs[i] = &zcopy[i]
+		zInv[i] = col[i].Z
 	}
-	g.e2BatchInv(zs)
+	g.e2BatchInv(zInv)
 	out := make([]G2Affine, len(col))
 	for i := range col {
 		if t.E2IsZero(&col[i].Z) {
 			out[i] = G2Affine{Inf: true}
 			continue
 		}
-		zInv2, zInv3 := t.E2Zero(), t.E2Zero()
-		t.E2Square(&zInv2, &zcopy[i])
-		t.E2Mul(&zInv3, &zInv2, &zcopy[i])
-		out[i] = G2Affine{X: t.E2Zero(), Y: t.E2Zero()}
+		var zInv2, zInv3 E2
+		t.E2Square(&zInv2, &zInv[i])
+		t.E2Mul(&zInv3, &zInv2, &zInv[i])
 		t.E2Mul(&out[i].X, &col[i].X, &zInv2)
 		t.E2Mul(&out[i].Y, &col[i].Y, &zInv3)
 	}
@@ -177,7 +187,7 @@ func (p *G2Precomputed) MemoryBytes() int64 {
 // in [−2^(s−1), 2^(s−1)−1] plus a trailing carry.
 func signedDigitsBig(k *big.Int, bits, s int, out []int32) []int32 {
 	nWin := (bits + s - 1) / s
-	out = append(out[:0], make([]int32, nWin+1)...)
+	out = slices.Grow(out[:0], nWin+1)[:nWin+1]
 	half, full := 1<<(s-1), 1<<s
 	carry := 0
 	for j := 0; j < nWin; j++ {
@@ -206,10 +216,7 @@ func signedDigitsBig(k *big.Int, bits, s int, out []int32) []int32 {
 // bucket reduce after it is O(2^(s-1)), too short to matter).
 func (p *G2Precomputed) MSMContext(ctx context.Context, scalars []*big.Int) (G2Affine, error) {
 	g := p.g
-	t := g.T
-	half := 1 << (p.s - 1)
-	buckets := make([]*G2Jacobian, half+1)
-	negY := t.E2Zero()
+	buckets := make([]G2Jacobian, 1<<(p.s-1))
 	var digits []int32
 	for i, k := range scalars {
 		if i&63 == 0 {
@@ -219,35 +226,9 @@ func (p *G2Precomputed) MSMContext(ctx context.Context, scalars []*big.Int) (G2A
 		}
 		digits = signedDigitsBig(k, p.scalarBits, p.s, digits)
 		for j, d := range digits {
-			if d == 0 {
-				continue
-			}
-			pt := &p.tables[j][i]
-			if pt.Inf {
-				continue
-			}
-			use := pt
-			var neg G2Affine
-			if d < 0 {
-				t.E2Neg(&negY, &pt.Y)
-				neg = G2Affine{X: pt.X, Y: negY}
-				use = &neg
-				d = -d
-			}
-			if buckets[d] == nil {
-				b := g.FromAffine(&G2Affine{Inf: true})
-				buckets[d] = &b
-			}
-			g.AddMixed(buckets[d], use)
+			g.addSigned(buckets, &p.tables[j][i], d)
 		}
 	}
-	running := g.FromAffine(&G2Affine{Inf: true})
-	total := g.FromAffine(&G2Affine{Inf: true})
-	for d := half; d >= 1; d-- {
-		if buckets[d] != nil {
-			g.AddJac(&running, buckets[d])
-		}
-		g.AddJac(&total, &running)
-	}
-	return g.ToAffine(&total), nil
+	sum := g.sumBuckets(buckets)
+	return g.ToAffine(&sum), nil
 }

@@ -24,9 +24,9 @@ func TestE2FieldAxioms(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	f := e.Fp
 	for iter := 0; iter < 30; iter++ {
-		a := E2{f.Rand(rnd), f.Rand(rnd)}
-		b := E2{f.Rand(rnd), f.Rand(rnd)}
-		c := E2{f.Rand(rnd), f.Rand(rnd)}
+		a := E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}
+		b := E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}
+		c := E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}
 		ab, ba := tw.E2Zero(), tw.E2Zero()
 		tw.E2Mul(&ab, &a, &b)
 		tw.E2Mul(&ba, &b, &a)
@@ -59,7 +59,7 @@ func TestE2FieldAxioms(t *testing.T) {
 			}
 		}
 		// u² = -1: (0+u)² = -1
-		u := E2{f.Zero(), f.One()}
+		u := E2{A1: fe(f.One())}
 		u2 := tw.E2Zero()
 		tw.E2Square(&u2, &u)
 		negOne := tw.E2One()
@@ -75,7 +75,7 @@ func TestE6E12Axioms(t *testing.T) {
 	tw := e.T
 	rnd := rand.New(rand.NewSource(2))
 	f := e.Fp
-	randE2 := func() E2 { return E2{f.Rand(rnd), f.Rand(rnd)} }
+	randE2 := func() E2 { return E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))} }
 	randE6 := func() E6 { return E6{randE2(), randE2(), randE2()} }
 	randE12 := func() E12 { return E12{randE6(), randE6()} }
 
@@ -105,9 +105,9 @@ func TestE6E12Axioms(t *testing.T) {
 		v3 := tw.E6Zero()
 		tw.E6Mul(&v3, &v, &v)
 		tw.E6Mul(&v3, &v3, &v)
-		xi := E2{f.FromUint64(9), f.One()}
+		xi := E2{fe(f.FromUint64(9)), fe(f.One())}
 		want := tw.E6Zero()
-		tw.E2Set(&want.C0, &xi)
+		want.C0 = xi
 		if !tw.E6Equal(&v3, &want) {
 			t.Fatal("v³ != ξ")
 		}
@@ -146,14 +146,35 @@ func TestE6E12Axioms(t *testing.T) {
 	}
 }
 
+// TestE12SquareMatchesMul pins complex squaring to the generic product,
+// including the aliased form the Miller loop and exponentiation use.
+func TestE12SquareMatchesMul(t *testing.T) {
+	e := engine(t)
+	tw := e.T
+	rnd := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 20; iter++ {
+		x := randE12(e, rnd)
+		var sq, mul E12
+		tw.E12Square(&sq, &x)
+		tw.E12Mul(&mul, &x, &x)
+		if sq != mul {
+			t.Fatal("E12Square(x) != E12Mul(x, x)")
+		}
+		tw.E12Square(&x, &x)
+		if x != mul {
+			t.Fatal("aliased E12Square disagrees")
+		}
+	}
+}
+
 func TestE12ExpHomomorphic(t *testing.T) {
 	e := engine(t)
 	tw := e.T
 	rnd := rand.New(rand.NewSource(3))
 	f := e.Fp
 	x := E12{
-		E6{E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}},
-		E6{E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}},
+		E6{E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}},
+		E6{E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}},
 	}
 	a, b := big.NewInt(123457), big.NewInt(987651)
 	xa, xb, xab, prod := tw.E12Zero(), tw.E12Zero(), tw.E12Zero(), tw.E12Zero()
@@ -339,8 +360,8 @@ func TestFrobeniusP2IsHomomorphism(t *testing.T) {
 	f := e.Fp
 	randE12 := func() E12 {
 		return E12{
-			E6{E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}},
-			E6{E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}, E2{f.Rand(rnd), f.Rand(rnd)}},
+			E6{E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}},
+			E6{E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}, E2{fe(f.Rand(rnd)), fe(f.Rand(rnd))}},
 		}
 	}
 	x, y := randE12(), randE12()

@@ -6,16 +6,26 @@
 // (Table 4). Correctness rests on algebraic self-tests (field axioms,
 // bilinearity e(aP, bQ) = e(P,Q)^{ab}, non-degeneracy) rather than
 // external vectors, since the build is offline.
+//
+// The tower is value-typed over fixed 4-limb coordinates: every E2/E6/E12
+// is a plain array-backed struct, every Tower method works on stack
+// locals through bigint.Mont4, and nothing on the pairing or G2 paths
+// allocates (internal/pairing/alloc_test.go pins it).
 package pairing
 
 import (
+	"fmt"
 	"math/big"
 
+	"distmsm/internal/bigint"
 	"distmsm/internal/field"
 )
 
+// fe is a BN254 base-field element in Montgomery form.
+type fe = [4]uint64
+
 // E2 is an element of Fp2 = Fp[u]/(u²+1): A0 + A1·u.
-type E2 struct{ A0, A1 field.Element }
+type E2 struct{ A0, A1 fe }
 
 // E6 is an element of Fp6 = Fp2[v]/(v³−ξ): C0 + C1·v + C2·v².
 type E6 struct{ C0, C1, C2 E2 }
@@ -25,123 +35,120 @@ type E12 struct{ D0, D1 E6 }
 
 // Tower provides arithmetic for the BN254 extension tower.
 type Tower struct {
-	F *field.Field // the base field Fp
+	F   *field.Field // the base field Fp
+	m   *bigint.Mont4
+	one fe
 }
 
-// NewTower wraps the base field.
-func NewTower(f *field.Field) *Tower { return &Tower{F: f} }
+// NewTower wraps the base field, which must be a 4-limb field on the
+// unrolled backend: the package is BN254-only.
+func NewTower(f *field.Field) (*Tower, error) {
+	m, err := bigint.NewMont4(f.Montgomery())
+	if err != nil {
+		return nil, fmt.Errorf("pairing: field %s: %w", f.Name, err)
+	}
+	return &Tower{F: f, m: m, one: fe(f.One())}, nil
+}
 
 // ---------- Fp2 ----------
 
-// E2Zero returns a fresh zero.
-func (t *Tower) E2Zero() E2 { return E2{t.F.Zero(), t.F.Zero()} }
+// E2Zero returns zero.
+func (t *Tower) E2Zero() E2 { return E2{} }
 
-// E2One returns a fresh one.
-func (t *Tower) E2One() E2 { return E2{t.F.One(), t.F.Zero()} }
-
-// E2Set copies y into z.
-func (t *Tower) E2Set(z *E2, y *E2) { z.A0.Set(y.A0); z.A1.Set(y.A1) }
+// E2One returns one.
+func (t *Tower) E2One() E2 { return E2{A0: t.one} }
 
 // E2IsZero reports z == 0.
-func (t *Tower) E2IsZero(z *E2) bool { return z.A0.IsZero() && z.A1.IsZero() }
+func (t *Tower) E2IsZero(z *E2) bool { return *z == E2{} }
 
 // E2Equal reports x == y.
-func (t *Tower) E2Equal(x, y *E2) bool { return x.A0.Equal(y.A0) && x.A1.Equal(y.A1) }
+func (t *Tower) E2Equal(x, y *E2) bool { return *x == *y }
 
 // E2Add sets z = x + y.
-func (t *Tower) E2Add(z, x, y *E2) { t.F.Add(z.A0, x.A0, y.A0); t.F.Add(z.A1, x.A1, y.A1) }
+func (t *Tower) E2Add(z, x, y *E2) { t.m.Add(&z.A0, &x.A0, &y.A0); t.m.Add(&z.A1, &x.A1, &y.A1) }
 
 // E2Sub sets z = x - y.
-func (t *Tower) E2Sub(z, x, y *E2) { t.F.Sub(z.A0, x.A0, y.A0); t.F.Sub(z.A1, x.A1, y.A1) }
+func (t *Tower) E2Sub(z, x, y *E2) { t.m.Sub(&z.A0, &x.A0, &y.A0); t.m.Sub(&z.A1, &x.A1, &y.A1) }
 
 // E2Neg sets z = -x.
-func (t *Tower) E2Neg(z, x *E2) { t.F.Neg(z.A0, x.A0); t.F.Neg(z.A1, x.A1) }
+func (t *Tower) E2Neg(z, x *E2) { t.m.Neg(&z.A0, &x.A0); t.m.Neg(&z.A1, &x.A1) }
 
 // E2Double sets z = 2x.
-func (t *Tower) E2Double(z, x *E2) { t.F.Double(z.A0, x.A0); t.F.Double(z.A1, x.A1) }
+func (t *Tower) E2Double(z, x *E2) { t.m.Double(&z.A0, &x.A0); t.m.Double(&z.A1, &x.A1) }
 
-// E2Mul sets z = x·y (z may alias x or y).
+// E2Mul sets z = x·y by Karatsuba: three base-field products (z may alias
+// x or y).
 func (t *Tower) E2Mul(z, x, y *E2) {
-	f := t.F
-	t0, t1, t2 := f.NewElement(), f.NewElement(), f.NewElement()
-	f.Mul(t0, x.A0, y.A0) // a0b0
-	f.Mul(t1, x.A1, y.A1) // a1b1
-	f.Mul(t2, x.A0, y.A1)
-	tmp := f.NewElement()
-	f.Mul(tmp, x.A1, y.A0)
-	f.Add(t2, t2, tmp) // a0b1 + a1b0
-	f.Sub(z.A0, t0, t1)
-	z.A1.Set(t2)
+	m := t.m
+	var a0b0, a1b1, s, u fe
+	m.Mul(&a0b0, &x.A0, &y.A0)
+	m.Mul(&a1b1, &x.A1, &y.A1)
+	m.Add(&s, &x.A0, &x.A1)
+	m.Add(&u, &y.A0, &y.A1)
+	m.Mul(&s, &s, &u)
+	m.Sub(&s, &s, &a0b0)
+	m.Sub(&z.A1, &s, &a1b1) // a0b1 + a1b0
+	m.Sub(&z.A0, &a0b0, &a1b1)
 }
 
 // E2Square sets z = x² (z may alias x).
 func (t *Tower) E2Square(z, x *E2) {
-	f := t.F
-	sum, diff, prod := f.NewElement(), f.NewElement(), f.NewElement()
-	f.Add(sum, x.A0, x.A1)
-	f.Sub(diff, x.A0, x.A1)
-	f.Mul(prod, x.A0, x.A1)
-	f.Mul(z.A0, sum, diff) // a0² - a1²
-	f.Double(z.A1, prod)   // 2a0a1
+	m := t.m
+	var sum, diff, prod fe
+	m.Add(&sum, &x.A0, &x.A1)
+	m.Sub(&diff, &x.A0, &x.A1)
+	m.Mul(&prod, &x.A0, &x.A1)
+	m.Mul(&z.A0, &sum, &diff) // a0² - a1²
+	m.Double(&z.A1, &prod)    // 2a0a1
 }
 
 // E2MulByFp scales both coordinates by an Fp element.
-func (t *Tower) E2MulByFp(z, x *E2, c field.Element) {
-	t.F.Mul(z.A0, x.A0, c)
-	t.F.Mul(z.A1, x.A1, c)
+func (t *Tower) E2MulByFp(z, x *E2, c *fe) {
+	t.m.Mul(&z.A0, &x.A0, c)
+	t.m.Mul(&z.A1, &x.A1, c)
 }
 
 // E2MulByXi multiplies by the sextic non-residue ξ = 9 + u:
-// (9a0 − a1) + (a0 + 9a1)u.
+// (9a0 − a1) + (a0 + 9a1)u, with 9a = 8a + a by doublings.
 func (t *Tower) E2MulByXi(z, x *E2) {
-	f := t.F
-	nine := f.FromUint64(9)
-	t0, t1 := f.NewElement(), f.NewElement()
-	f.Mul(t0, x.A0, nine)
-	f.Sub(t0, t0, x.A1)
-	f.Mul(t1, x.A1, nine)
-	f.Add(t1, t1, x.A0)
-	z.A0.Set(t0)
-	z.A1.Set(t1)
+	m := t.m
+	var n0, n1 fe
+	m.Double(&n0, &x.A0)
+	m.Double(&n0, &n0)
+	m.Double(&n0, &n0)
+	m.Add(&n0, &n0, &x.A0)
+	m.Double(&n1, &x.A1)
+	m.Double(&n1, &n1)
+	m.Double(&n1, &n1)
+	m.Add(&n1, &n1, &x.A1)
+	m.Sub(&n0, &n0, &x.A1)
+	m.Add(&n1, &n1, &x.A0)
+	z.A0, z.A1 = n0, n1
 }
 
 // E2Inv sets z = x⁻¹ = (a0 − a1·u)/(a0² + a1²).
 func (t *Tower) E2Inv(z, x *E2) {
-	f := t.F
-	n := f.NewElement()
-	tmp := f.NewElement()
-	f.Square(n, x.A0)
-	f.Square(tmp, x.A1)
-	f.Add(n, n, tmp)
-	f.Inv(n, n)
-	f.Mul(z.A0, x.A0, n)
-	f.Neg(tmp, x.A1)
-	f.Mul(z.A1, tmp, n)
+	m := t.m
+	var n, tmp fe
+	m.Square(&n, &x.A0)
+	m.Square(&tmp, &x.A1)
+	m.Add(&n, &n, &tmp)
+	m.Inv(&n, &n)
+	m.Neg(&tmp, &x.A1)
+	m.Mul(&z.A0, &x.A0, &n)
+	m.Mul(&z.A1, &tmp, &n)
 }
-
-// E2Clone returns an independent copy.
-func (t *Tower) E2Clone(x *E2) E2 { return E2{x.A0.Clone(), x.A1.Clone()} }
 
 // ---------- Fp6 ----------
 
-// E6Zero returns a fresh zero.
-func (t *Tower) E6Zero() E6 { return E6{t.E2Zero(), t.E2Zero(), t.E2Zero()} }
+// E6Zero returns zero.
+func (t *Tower) E6Zero() E6 { return E6{} }
 
-// E6One returns a fresh one.
-func (t *Tower) E6One() E6 { return E6{t.E2One(), t.E2Zero(), t.E2Zero()} }
-
-// E6Set copies y into z.
-func (t *Tower) E6Set(z, y *E6) { t.E2Set(&z.C0, &y.C0); t.E2Set(&z.C1, &y.C1); t.E2Set(&z.C2, &y.C2) }
-
-// E6IsZero reports z == 0.
-func (t *Tower) E6IsZero(z *E6) bool {
-	return t.E2IsZero(&z.C0) && t.E2IsZero(&z.C1) && t.E2IsZero(&z.C2)
-}
+// E6One returns one.
+func (t *Tower) E6One() E6 { return E6{C0: t.E2One()} }
 
 // E6Equal reports x == y.
-func (t *Tower) E6Equal(x, y *E6) bool {
-	return t.E2Equal(&x.C0, &y.C0) && t.E2Equal(&x.C1, &y.C1) && t.E2Equal(&x.C2, &y.C2)
-}
+func (t *Tower) E6Equal(x, y *E6) bool { return *x == *y }
 
 // E6Add sets z = x + y.
 func (t *Tower) E6Add(z, x, y *E6) {
@@ -166,12 +173,10 @@ func (t *Tower) E6Neg(z, x *E6) {
 
 // E6Mul sets z = x·y (Karatsuba over the cubic extension; z may alias).
 func (t *Tower) E6Mul(z, x, y *E6) {
-	t0, t1, t2 := t.E2Zero(), t.E2Zero(), t.E2Zero()
+	var t0, t1, t2, s1, s2, tmp, c0, c1, c2 E2
 	t.E2Mul(&t0, &x.C0, &y.C0)
 	t.E2Mul(&t1, &x.C1, &y.C1)
 	t.E2Mul(&t2, &x.C2, &y.C2)
-
-	s1, s2, tmp := t.E2Zero(), t.E2Zero(), t.E2Zero()
 
 	// c0 = t0 + ξ((a1+a2)(b1+b2) − t1 − t2)
 	t.E2Add(&s1, &x.C1, &x.C2)
@@ -180,7 +185,6 @@ func (t *Tower) E6Mul(z, x, y *E6) {
 	t.E2Sub(&tmp, &tmp, &t1)
 	t.E2Sub(&tmp, &tmp, &t2)
 	t.E2MulByXi(&tmp, &tmp)
-	c0 := t.E2Zero()
 	t.E2Add(&c0, &t0, &tmp)
 
 	// c1 = (a0+a1)(b0+b1) − t0 − t1 + ξ·t2
@@ -189,7 +193,6 @@ func (t *Tower) E6Mul(z, x, y *E6) {
 	t.E2Mul(&tmp, &s1, &s2)
 	t.E2Sub(&tmp, &tmp, &t0)
 	t.E2Sub(&tmp, &tmp, &t1)
-	c1 := t.E2Zero()
 	t.E2MulByXi(&c1, &t2)
 	t.E2Add(&c1, &c1, &tmp)
 
@@ -199,12 +202,9 @@ func (t *Tower) E6Mul(z, x, y *E6) {
 	t.E2Mul(&tmp, &s1, &s2)
 	t.E2Sub(&tmp, &tmp, &t0)
 	t.E2Sub(&tmp, &tmp, &t2)
-	c2 := t.E2Zero()
 	t.E2Add(&c2, &tmp, &t1)
 
-	t.E2Set(&z.C0, &c0)
-	t.E2Set(&z.C1, &c1)
-	t.E2Set(&z.C2, &c2)
+	*z = E6{c0, c1, c2}
 }
 
 // E6Square sets z = x².
@@ -212,19 +212,14 @@ func (t *Tower) E6Square(z, x *E6) { t.E6Mul(z, x, x) }
 
 // E6MulByV multiplies by v: (c0, c1, c2) → (ξ·c2, c0, c1).
 func (t *Tower) E6MulByV(z, x *E6) {
-	c0 := t.E2Zero()
+	var c0 E2
 	t.E2MulByXi(&c0, &x.C2)
-	c1 := t.E2Clone(&x.C0)
-	c2 := t.E2Clone(&x.C1)
-	t.E2Set(&z.C0, &c0)
-	t.E2Set(&z.C1, &c1)
-	t.E2Set(&z.C2, &c2)
+	*z = E6{c0, x.C0, x.C1}
 }
 
 // E6Inv sets z = x⁻¹ via the standard cubic-extension formula.
 func (t *Tower) E6Inv(z, x *E6) {
-	v0, v1, v2 := t.E2Zero(), t.E2Zero(), t.E2Zero()
-	tmp := t.E2Zero()
+	var v0, v1, v2, tmp, f0, f1 E2
 
 	// v0 = c0² − ξ·c1·c2
 	t.E2Square(&v0, &x.C0)
@@ -242,7 +237,6 @@ func (t *Tower) E6Inv(z, x *E6) {
 	t.E2Sub(&v2, &v2, &tmp)
 
 	// F = c0·v0 + ξ·(c2·v1 + c1·v2)
-	f0, f1 := t.E2Zero(), t.E2Zero()
 	t.E2Mul(&f0, &x.C0, &v0)
 	t.E2Mul(&f1, &x.C2, &v1)
 	t.E2Mul(&tmp, &x.C1, &v2)
@@ -258,100 +252,74 @@ func (t *Tower) E6Inv(z, x *E6) {
 
 // ---------- Fp12 ----------
 
-// E12Zero returns a fresh zero.
-func (t *Tower) E12Zero() E12 { return E12{t.E6Zero(), t.E6Zero()} }
+// E12Zero returns zero.
+func (t *Tower) E12Zero() E12 { return E12{} }
 
-// E12One returns a fresh one.
-func (t *Tower) E12One() E12 { return E12{t.E6One(), t.E6Zero()} }
-
-// E12Set copies y into z.
-func (t *Tower) E12Set(z, y *E12) { t.E6Set(&z.D0, &y.D0); t.E6Set(&z.D1, &y.D1) }
+// E12One returns one.
+func (t *Tower) E12One() E12 { return E12{D0: t.E6One()} }
 
 // E12Equal reports x == y.
-func (t *Tower) E12Equal(x, y *E12) bool { return t.E6Equal(&x.D0, &y.D0) && t.E6Equal(&x.D1, &y.D1) }
+func (t *Tower) E12Equal(x, y *E12) bool { return *x == *y }
 
 // E12IsOne reports x == 1.
-func (t *Tower) E12IsOne(x *E12) bool {
-	one := t.E12One()
-	return t.E12Equal(x, &one)
-}
-
-// E12Add sets z = x + y.
-func (t *Tower) E12Add(z, x, y *E12) { t.E6Add(&z.D0, &x.D0, &y.D0); t.E6Add(&z.D1, &x.D1, &y.D1) }
-
-// E12Sub sets z = x - y.
-func (t *Tower) E12Sub(z, x, y *E12) { t.E6Sub(&z.D0, &x.D0, &y.D0); t.E6Sub(&z.D1, &x.D1, &y.D1) }
+func (t *Tower) E12IsOne(x *E12) bool { return *x == t.E12One() }
 
 // E12Mul sets z = x·y: c0 = a0b0 + v·a1b1, c1 = a0b1 + a1b0 (Karatsuba).
 func (t *Tower) E12Mul(z, x, y *E12) {
-	t0, t1 := t.E6Zero(), t.E6Zero()
+	var t0, t1, s0, s1, mid E6
 	t.E6Mul(&t0, &x.D0, &y.D0)
 	t.E6Mul(&t1, &x.D1, &y.D1)
-	s0, s1, mid := t.E6Zero(), t.E6Zero(), t.E6Zero()
 	t.E6Add(&s0, &x.D0, &x.D1)
 	t.E6Add(&s1, &y.D0, &y.D1)
 	t.E6Mul(&mid, &s0, &s1)
 	t.E6Sub(&mid, &mid, &t0)
-	t.E6Sub(&mid, &mid, &t1)
-	vT1 := t.E6Zero()
-	t.E6MulByV(&vT1, &t1)
-	t.E6Add(&z.D0, &t0, &vT1)
-	t.E6Set(&z.D1, &mid)
+	t.E6Sub(&z.D1, &mid, &t1)
+	t.E6MulByV(&t1, &t1)
+	t.E6Add(&z.D0, &t0, &t1)
 }
 
-// E12Square sets z = x².
-func (t *Tower) E12Square(z, x *E12) { t.E12Mul(z, x, x) }
+// E12Square sets z = x² by complex squaring, two E6Muls instead of three:
+// for x = a + b·w, x² = ((a+b)(a+v·b) − ab − v·ab) + 2ab·w.
+func (t *Tower) E12Square(z, x *E12) {
+	var ab, s, vb E6
+	t.E6Mul(&ab, &x.D0, &x.D1)
+	t.E6Add(&s, &x.D0, &x.D1)
+	t.E6MulByV(&vb, &x.D1)
+	t.E6Add(&vb, &vb, &x.D0)
+	t.E6Mul(&s, &s, &vb)
+	t.E6Sub(&s, &s, &ab)
+	t.E6Add(&z.D1, &ab, &ab)
+	t.E6MulByV(&ab, &ab)
+	t.E6Sub(&z.D0, &s, &ab)
+}
 
 // E12Conjugate sets z = (d0, −d1), which equals x^(p⁶).
 func (t *Tower) E12Conjugate(z, x *E12) {
-	t.E6Set(&z.D0, &x.D0)
+	z.D0 = x.D0
 	t.E6Neg(&z.D1, &x.D1)
 }
 
 // E12Inv sets z = x⁻¹ = (d0 − d1·w)/(d0² − v·d1²).
 func (t *Tower) E12Inv(z, x *E12) {
-	t0, t1 := t.E6Zero(), t.E6Zero()
+	var t0, t1 E6
 	t.E6Square(&t0, &x.D0)
 	t.E6Square(&t1, &x.D1)
-	vT1 := t.E6Zero()
-	t.E6MulByV(&vT1, &t1)
-	t.E6Sub(&t0, &t0, &vT1)
+	t.E6MulByV(&t1, &t1)
+	t.E6Sub(&t0, &t0, &t1)
 	t.E6Inv(&t0, &t0)
+	t.E6Neg(&t1, &x.D1)
 	t.E6Mul(&z.D0, &x.D0, &t0)
-	neg := t.E6Zero()
-	t.E6Neg(&neg, &x.D1)
-	t.E6Mul(&z.D1, &neg, &t0)
+	t.E6Mul(&z.D1, &t1, &t0)
 }
 
 // E12Exp sets z = x^e for a non-negative exponent.
 func (t *Tower) E12Exp(z, x *E12, e *big.Int) {
-	acc := t.E12One()
-	base := t.E12Zero()
-	t.E12Set(&base, x)
+	acc, base := t.E12One(), *x
 	for i := 0; i < e.BitLen(); i++ {
 		if e.Bit(i) == 1 {
 			t.E12Mul(&acc, &acc, &base)
 		}
 		t.E12Square(&base, &base)
 	}
-	t.E12Set(z, &acc)
-}
-
-// E12FromFp embeds an Fp element into Fp12 (the c000 coefficient).
-func (t *Tower) E12FromFp(c field.Element) E12 {
-	z := t.E12Zero()
-	z.D0.C0.A0.Set(c)
-	return z
-}
-
-// E12ScaleFp multiplies every coefficient by an Fp scalar.
-func (t *Tower) E12ScaleFp(z, x *E12, c field.Element) {
-	for _, e6 := range []*struct{ src, dst *E6 }{{&x.D0, &z.D0}, {&x.D1, &z.D1}} {
-		for _, pair := range []*struct{ s, d *E2 }{
-			{&e6.src.C0, &e6.dst.C0}, {&e6.src.C1, &e6.dst.C1}, {&e6.src.C2, &e6.dst.C2},
-		} {
-			t.F.Mul(pair.d.A0, pair.s.A0, c)
-			t.F.Mul(pair.d.A1, pair.s.A1, c)
-		}
-	}
+	*z = acc
 }

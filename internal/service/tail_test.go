@@ -227,7 +227,7 @@ func starvationRun(t *testing.T, policy QueuePolicy) (interactiveErr error, st S
 	gateStarted := make(chan struct{}, 1)
 	svc := newTestService(t, 2, 1024, func(c *Config) {
 		c.Workers = 1
-		c.QueueDepth = 12
+		c.QueueDepth = 20
 		c.QueuePolicy = policy
 		// A slack gate above the interactive timeout: cache-affinity
 		// coalescing must never jump the tight-deadline job here, so
@@ -245,21 +245,24 @@ func starvationRun(t *testing.T, policy QueuePolicy) (interactiveErr error, st S
 	}
 
 	// The gate job pins the worker so the backlog builds determin-
-	// istically before any ordering decision happens.
+	// istically before any ordering decision happens. The flood is 12
+	// heavy proofs so that, on any host, it outlasts the interactive
+	// deadline many times over while one heavy proof (the gate) plus the
+	// interactive one stays well inside it.
 	gateJob, err := svc.Submit(Request{Circuit: "synthetic", Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-gateStarted
 	var heavies []*Job
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
 		job, err := svc.Submit(Request{Circuit: "synthetic", Seed: int64(i + 1), Timeout: time.Minute})
 		if err != nil {
 			t.Fatalf("heavy %d: %v", i, err)
 		}
 		heavies = append(heavies, job)
 	}
-	interactive, err := svc.Submit(Request{Circuit: "interactive", Seed: 1, Timeout: 2 * time.Second * timingScale})
+	interactive, err := svc.Submit(Request{Circuit: "interactive", Seed: 1, Timeout: time.Second * timingScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func TestEDFStarvationProtection(t *testing.T) {
 		t.Fatalf("EDF: interactive job completed but QueueReorders = 0 — the EDF path did not reorder")
 	}
 	if err, _ := starvationRun(t, QueueFIFO); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("FIFO: interactive job behind an 8-job flood should miss its 2s deadline, got %v", err)
+		t.Fatalf("FIFO: interactive job behind a 12-job flood should miss its 1s deadline, got %v", err)
 	}
 }
 
