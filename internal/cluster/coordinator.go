@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distmsm/internal/gpusim"
 	"distmsm/internal/telemetry"
 )
 
@@ -99,6 +100,27 @@ type Config struct {
 	MSMRandom io.Reader
 }
 
+// BreakerConfig tunes the per-node circuit breakers. The zero value
+// selects the documented defaults.
+type BreakerConfig struct {
+	// FailThreshold is how many consecutive dispatch failures a closed
+	// node accrues before it is quarantined (default 3).
+	FailThreshold int
+	// Cooldown is how long a quarantined node sits out before it is
+	// offered a half-open probe dispatch (default 5s).
+	Cooldown time.Duration
+}
+
+func (c BreakerConfig) withDefaults() BreakerConfig {
+	if c.FailThreshold <= 0 {
+		c.FailThreshold = 3
+	}
+	if c.Cooldown <= 0 {
+		c.Cooldown = 5 * time.Second
+	}
+	return c
+}
+
 func (c Config) withDefaults() Config {
 	if c.Lease <= 0 {
 		c.Lease = 10 * time.Second
@@ -145,7 +167,16 @@ type node struct {
 	// which unwinds the waiting Prove and MSM calls into redispatch.
 	inflight map[uint64]context.CancelFunc
 
-	br nodeBreaker
+	// br is the node's circuit breaker (gpusim.Breaker), ticked by
+	// Coordinator.tick. Breaker-relevant failures are dispatch errors,
+	// timeouts and corrupted responses; an admission rejection from a
+	// busy-but-healthy worker counts too, because from the router's
+	// seat a node that cannot take work should stop being offered it
+	// for a while. A half-open node admits one probe dispatch at a
+	// time: probing marks it in flight, and is only ever set while the
+	// breaker is half-open.
+	br      gpusim.Breaker
+	probing bool
 
 	dispatches uint64 // lifetime, successful + failed
 	failures   uint64 // lifetime failed dispatches
@@ -154,11 +185,11 @@ type node struct {
 // NodeSnapshot is one node's externally visible state, the payload of
 // the coordinator's health endpoint.
 type NodeSnapshot struct {
-	ID       string       `json:"id"`
-	Addr     string       `json:"addr"`
-	State    string       `json:"state"` // alive | lost | draining
-	Breaker  BreakerState `json:"-"`
-	BreakerS string       `json:"breaker"`
+	ID       string              `json:"id"`
+	Addr     string              `json:"addr"`
+	State    string              `json:"state"` // alive | lost | draining
+	Breaker  gpusim.BreakerState `json:"-"`
+	BreakerS string              `json:"breaker"`
 	// HeartbeatAge is the time since the last accepted heartbeat; the
 	// wire carries it as whole milliseconds.
 	HeartbeatAge   time.Duration `json:"-"`
@@ -206,12 +237,14 @@ type Coordinator struct {
 	lastJob   atomic.Uint64
 	attemptID atomic.Uint64
 
+	start time.Time // origin of the node breakers' tick
+
 	mu       sync.Mutex
 	closed   bool
 	nodes    map[string]*node
 	order    []string          // registration order: deterministic iteration
 	affinity map[string]string // circuit → node that last proved it
-	ewmaSec  float64           // global dispatch-latency EWMA (hedge clock)
+	ewmaSec  telemetry.EWMA    // global dispatch-latency EWMA (hedge clock)
 	stats    Stats
 }
 
@@ -221,6 +254,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:      cfg,
+		start:    time.Now(),
 		nodes:    map[string]*node{},
 		affinity: map[string]string{},
 	}
@@ -395,12 +429,40 @@ func (c *Coordinator) expireLeases(now time.Time) {
 	}
 }
 
-// canTake reports whether the node can take a new dispatch now — an MSM
-// shard half if msm (read-only; the breaker admission is committed
-// separately).
-func (n *node) canTake(now time.Time, cfg BreakerConfig, msm bool) bool {
+// tick is the node breakers' clock: nanoseconds since the coordinator
+// started, taken from Go's monotonic reading so wall-clock steps
+// cannot open or close a breaker.
+func (c *Coordinator) tick(now time.Time) int64 { return int64(now.Sub(c.start)) }
+
+// canTake reports whether the node can take a new dispatch at tick now —
+// an MSM shard half if msm (read-only; admit commits the admission).
+func (n *node) canTake(now int64, cfg BreakerConfig, msm bool) bool {
 	_, serves := n.client.(MSMWorkerClient)
-	return !n.lost && !n.draining && n.br.canAdmit(now, cfg) && (serves || !msm)
+	return !n.lost && !n.draining && !n.probing && n.br.Cooled(now, int64(cfg.Cooldown)) && (serves || !msm)
+}
+
+// admit commits the breaker admission canTake promised: a cooled open
+// breaker turns half-open, and a half-open one hands out its probe slot.
+// probe reports that this admission took the slot — the caller then
+// owns it and must return it, by recording the dispatch outcome or
+// through abandon.
+func (n *node) admit(now int64, cfg BreakerConfig) (admitted, probe bool) {
+	if n.probing || !n.br.Admit(now, int64(cfg.Cooldown)) {
+		return false, false
+	}
+	n.probing = n.br.State() == gpusim.BreakerHalfOpen
+	return true, n.probing
+}
+
+// record folds one dispatch outcome into the breaker, which frees the
+// probe slot, and reports whether the outcome tripped it.
+func (n *node) record(ok bool, now int64, cfg BreakerConfig) (tripped bool) {
+	n.probing = false
+	if ok {
+		n.br.Succeed()
+		return false
+	}
+	return n.br.Fail(1, now, cfg.FailThreshold)
 }
 
 // pickNode chooses the next node for a dispatch of either kind and
@@ -414,7 +476,7 @@ func (n *node) canTake(now time.Time, cfg BreakerConfig, msm bool) bool {
 // probe reports that the admission took the node's half-open probe
 // slot, which the attempt then owns (see attempt).
 func (c *Coordinator) pickNode(key string, exclude map[string]bool, msm bool) (n *node, probe bool) {
-	now := time.Now()
+	now := c.tick(time.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	eligible := func(n *node) bool {
@@ -432,7 +494,7 @@ func (c *Coordinator) pickNode(key string, exclude map[string]bool, msm bool) (n
 	if best == nil {
 		return nil, false
 	}
-	admitted, probe := best.br.admit(now, c.cfg.Breaker)
+	admitted, probe := best.admit(now, c.cfg.Breaker)
 	if !admitted {
 		return nil, false
 	}
@@ -443,11 +505,13 @@ func (c *Coordinator) pickNode(key string, exclude map[string]bool, msm bool) (n
 // a hedge loser, the job's own context dying, a deadline already past)
 // and gives back the half-open probe slot its admission took, if any.
 // Without that the node's breaker would stay HalfOpen with its one probe
-// slot consumed forever — permanently unroutable.
+// slot consumed forever — permanently unroutable. A late return, after
+// an outcome recorded by another dispatch has already moved the breaker
+// on, finds the slot free and changes nothing.
 func (c *Coordinator) abandon(n *node, probe bool) {
 	if probe {
 		c.mu.Lock()
-		n.br.releaseProbe()
+		n.probing = false
 		c.mu.Unlock()
 	}
 }
@@ -456,7 +520,7 @@ func (c *Coordinator) abandon(n *node, probe bool) {
 // the hedge EWMA and the counters. A success under a non-empty affinity
 // key also hands the key to the node.
 func (c *Coordinator) recordDispatch(n *node, ok bool, sec float64, key string) {
-	now := time.Now()
+	now := c.tick(time.Now())
 	c.mu.Lock()
 	n.dispatches++
 	if ok {
@@ -464,16 +528,12 @@ func (c *Coordinator) recordDispatch(n *node, ok bool, sec float64, key string) 
 		if key != "" {
 			c.affinity[key] = n.id
 		}
-		if c.ewmaSec == 0 {
-			c.ewmaSec = sec
-		} else {
-			c.ewmaSec += 0.25 * (sec - c.ewmaSec)
-		}
+		c.ewmaSec.Observe(sec)
 	} else {
 		n.failures++
 		c.stats.DispatchErrors++
 	}
-	tripped := n.br.record(ok, now, c.cfg.Breaker)
+	tripped := n.record(ok, now, c.cfg.Breaker)
 	if tripped {
 		c.stats.BreakerTrips++
 	}
@@ -486,7 +546,7 @@ func (c *Coordinator) recordDispatch(n *node, ok bool, sec float64, key string) 
 // latency, floored at HedgeMin (a cold EWMA must not hedge everything).
 func (c *Coordinator) hedgeDelay() time.Duration {
 	c.mu.Lock()
-	ewma := c.ewmaSec
+	ewma := float64(c.ewmaSec)
 	c.mu.Unlock()
 	d := time.Duration(c.cfg.HedgeMultiple * ewma * float64(time.Second))
 	if d < c.cfg.HedgeMin {
@@ -804,14 +864,14 @@ func (c *Coordinator) Snapshot() []NodeSnapshot {
 			ID:             n.id,
 			Addr:           n.addr,
 			State:          state,
-			Breaker:        n.br.state,
-			BreakerS:       n.br.state.String(),
+			Breaker:        n.br.State(),
+			BreakerS:       n.br.State().String(),
 			HeartbeatAge:   now.Sub(n.lastHB),
 			HeartbeatAgeMS: now.Sub(n.lastHB).Milliseconds(),
 			InFlight:       len(n.inflight),
 			Dispatches:     n.dispatches,
 			Failures:       n.failures,
-			Trips:          n.br.trips,
+			Trips:          n.br.Trips(),
 		})
 	}
 	return out
@@ -852,7 +912,7 @@ func (c *Coordinator) nodeStates() (alive, lost, draining, open int) {
 		default:
 			alive++
 		}
-		if n.br.state == NodeOpen {
+		if n.br.State() == gpusim.BreakerOpen {
 			open++
 		}
 	}

@@ -124,7 +124,7 @@ func (c *Coordinator) MSM(ctx context.Context, req MSMRequest) ([]byte, error) {
 // msmNodeCount counts nodes that could take an MSM shard right now —
 // only a sizing hint for sharding; admission happens per dispatch.
 func (c *Coordinator) msmNodeCount() int {
-	now := time.Now()
+	now := c.tick(time.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	count := 0

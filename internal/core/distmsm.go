@@ -231,7 +231,14 @@ func RunContext(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, points 
 	if err != nil {
 		return nil, err
 	}
+	return execute(ctx, points, scalars, plan, opts)
+}
+
+// execute runs plan on the engine opts selects and attaches the plan's
+// modeled cost to the result.
+func execute(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
 	var res *Result
+	var err error
 	switch opts.Engine {
 	case EngineConcurrent:
 		res, err = runConcurrent(ctx, points, scalars, plan, opts)

@@ -9,7 +9,6 @@ import (
 	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
 	"distmsm/internal/gpusim"
-	"distmsm/internal/kernel"
 	"distmsm/internal/msm"
 	"distmsm/internal/telemetry"
 )
@@ -241,24 +240,6 @@ func (fb *FixedBase) scatter(scalars []bigint.Nat) (*ScatterResult, error) {
 // vector, partitioned across the (health-admitted) GPUs exactly like any
 // other plan — so the fault-tolerant scheduler composes unchanged.
 func buildFixedBasePlan(cl *gpusim.Cluster, fb *FixedBase, opts Options) (*Plan, error) {
-	var adm *gpusim.Admission
-	if cl.Health != nil {
-		a := cl.Health.Admit(cl.N)
-		adm = &a
-	}
-	variant := DefaultVariant
-	if opts.VariantSet {
-		variant = opts.Variant
-	}
-	spec, err := kernel.BuildSpec(variant)
-	if err != nil {
-		return nil, err
-	}
-	paddSpec, err := kernel.BuildPADDSpec(variant)
-	if err != nil {
-		return nil, err
-	}
-	model := cl.Model()
 	p := &Plan{
 		Curve:     fb.c,
 		Cluster:   cl,
@@ -267,22 +248,9 @@ func buildFixedBasePlan(cl *gpusim.Cluster, fb *FixedBase, opts Options) (*Plan,
 		Signed:    true,
 		Windows:   1,
 		Buckets:   1<<(fb.s-1) + 1,
-		Spec:      spec,
-		PADDSpec:  paddSpec,
-		NT:        model.ConcurrentThreads(spec, fb.c.Fp.Bits()),
-		Block:     opts.Block,
 		FixedBase: fb,
 	}
-	if p.Block.Threads == 0 {
-		p.Block = DefaultBlock()
-	}
-	pool, err := devicePool(cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.Devices = pool
-	p.Assignments = assignBucketsAdmitted(1, p.Buckets, pool, adm)
-	return p, nil
+	return p.complete(opts, admit(cl))
 }
 
 // runFixedBase executes an MSM through the precomputed tables: scatter
@@ -320,20 +288,11 @@ func runFixedBase(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, scala
 		return nil, err
 	}
 	plan.Pre = []*ScatterResult{sc}
-	var res *Result
-	switch opts.Engine {
-	case EngineConcurrent:
-		res, err = runConcurrent(ctx, fb.flat, nil, plan, opts)
-	case EngineSerial:
-		res, err = runSerial(ctx, fb.flat, nil, plan, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)
-	}
+	res, err := execute(ctx, fb.flat, nil, plan, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.Phase.Scatter += scatterDur
-	res.Cost = plan.EstimateCost()
 	return res, nil
 }
 

@@ -190,11 +190,7 @@ func BuildPlan(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) (*Plan, 
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: plan needs n > 0, got %d", ErrEmptyInput, n)
 	}
-	var adm *gpusim.Admission
-	if cl.Health != nil {
-		a := cl.Health.Admit(cl.N)
-		adm = &a
-	}
+	adm := admit(cl)
 	if opts.WindowSize != 0 {
 		return buildPlanFixed(c, cl, n, opts, opts.WindowSize, opts.ReduceOnGPU, adm)
 	}
@@ -218,59 +214,68 @@ func BuildPlan(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) (*Plan, 
 	return best, nil
 }
 
+// admit consults the cluster's health registry once for the next plan
+// (nil without a registry: every device gets its full share).
+func admit(cl *gpusim.Cluster) *gpusim.Admission {
+	if cl.Health == nil {
+		return nil
+	}
+	a := cl.Health.Admit(cl.N)
+	return &a
+}
+
 func buildPlanFixed(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options, s int, gpuReduce bool, adm *gpusim.Admission) (*Plan, error) {
+	if s < 1 || s > 26 {
+		return nil, fmt.Errorf("core: window size %d out of range", s)
+	}
+	p := &Plan{
+		Curve:   c,
+		Cluster: cl,
+		N:       n,
+		S:       s,
+		Signed:  !opts.Unsigned,
+		Windows: (c.ScalarBits + s - 1) / s,
+		Buckets: 1 << s,
+		// The hierarchical scatter needs its per-bucket counters in shared
+		// memory; above the capacity limit DistMSM falls back to the naive
+		// scatter (which is also the faster choice at large s, Figure 11).
+		Hierarchical: !opts.ForceNaiveScatter && s <= maxHierarchicalS,
+		ReduceOnGPU:  gpuReduce,
+		SplitNDim:    opts.SplitNDim,
+	}
+	if p.Signed {
+		p.Windows++ // carry window of the signed recoding
+		p.Buckets = 1<<(s-1) + 1
+	}
+	return p.complete(opts, adm)
+}
+
+// complete fills in what every plan shares once its shape (curve, N, S,
+// signedness, windows, buckets and scatter/reduce flags) is set: the
+// kernel specs of the selected variant, the per-GPU thread capacity,
+// the block shape, the device pool and the health-admitted bucket
+// assignments.
+func (p *Plan) complete(opts Options, adm *gpusim.Admission) (*Plan, error) {
 	variant := DefaultVariant
 	if opts.VariantSet {
 		variant = opts.Variant
 	}
-	spec, err := kernel.BuildSpec(variant)
-	if err != nil {
+	var err error
+	if p.Spec, err = kernel.BuildSpec(variant); err != nil {
 		return nil, err
 	}
-	paddSpec, err := kernel.BuildPADDSpec(variant)
-	if err != nil {
+	if p.PADDSpec, err = kernel.BuildPADDSpec(variant); err != nil {
 		return nil, err
 	}
-	model := cl.Model()
-	nt := model.ConcurrentThreads(spec, c.Fp.Bits())
-
-	p := &Plan{
-		Curve:    c,
-		Cluster:  cl,
-		N:        n,
-		S:        s,
-		Signed:   !opts.Unsigned,
-		Spec:     spec,
-		PADDSpec: paddSpec,
-		NT:       nt,
-		Block:    opts.Block,
-	}
+	p.NT = p.Cluster.Model().ConcurrentThreads(p.Spec, p.Curve.Fp.Bits())
+	p.Block = opts.Block
 	if p.Block.Threads == 0 {
 		p.Block = DefaultBlock()
 	}
-	if p.S < 1 || p.S > 26 {
-		return nil, fmt.Errorf("core: window size %d out of range", p.S)
-	}
-	p.Windows = (c.ScalarBits + p.S - 1) / p.S
-	if p.Signed {
-		p.Windows++ // carry window of the signed recoding
-		p.Buckets = 1<<(p.S-1) + 1
-	} else {
-		p.Buckets = 1 << p.S
-	}
-	// The hierarchical scatter needs its per-bucket counters in shared
-	// memory; above the capacity limit DistMSM falls back to the naive
-	// scatter (which is also the faster choice at large s, Figure 11).
-	p.Hierarchical = !opts.ForceNaiveScatter && p.S <= maxHierarchicalS
-	p.ReduceOnGPU = gpuReduce
-	p.SplitNDim = opts.SplitNDim
-
-	pool, err := devicePool(cl, opts)
-	if err != nil {
+	if p.Devices, err = devicePool(p.Cluster, opts); err != nil {
 		return nil, err
 	}
-	p.Devices = pool
-	p.Assignments = assignBucketsAdmitted(p.Windows, p.Buckets, pool, adm)
+	p.Assignments = assignBucketsAdmitted(p.Windows, p.Buckets, p.Devices, adm)
 	return p, nil
 }
 

@@ -151,8 +151,7 @@ type scheduler struct {
 	// Online calibration of host seconds per unit of shard weight
 	// (EWMA over committed executions), the base of the speculation
 	// deadline — the "gpusim-estimated shard cost" scaled to host time.
-	ewma  float64
-	ewmaN int
+	ewma telemetry.EWMA
 
 	// Bucket-sum phase wall clock: the span from the first shard launch
 	// to the last shard commit (Stats.Phase.BucketSumWall). Distinct
@@ -338,7 +337,7 @@ func (s *scheduler) stealLocked(g int, now time.Time) *shardTask {
 // deadline, if any. Deadlines need at least one committed execution to
 // calibrate against.
 func (s *scheduler) overdueLocked(now time.Time) *shardTask {
-	if s.pol.StragglerMultiple <= 0 || s.ewmaN == 0 {
+	if s.pol.StragglerMultiple <= 0 || !s.ewma.Ready() {
 		return nil
 	}
 	for _, t := range s.tasks {
@@ -353,7 +352,7 @@ func (s *scheduler) overdueLocked(now time.Time) *shardTask {
 }
 
 func (s *scheduler) deadlineLocked(t *shardTask) time.Duration {
-	d := time.Duration(s.pol.StragglerMultiple * s.ewma * t.weight * float64(time.Second))
+	d := time.Duration(s.pol.StragglerMultiple * float64(s.ewma) * t.weight * float64(time.Second))
 	if d < minSpecDeadline {
 		d = minSpecDeadline
 	}
@@ -387,7 +386,7 @@ func (s *scheduler) bucketSumWall() time.Duration {
 // estimated duration times the configured factor.
 func (s *scheduler) stragglerWait(t *shardTask, factor float64) time.Duration {
 	s.mu.Lock()
-	est := s.ewma * t.weight
+	est := float64(s.ewma) * t.weight
 	s.mu.Unlock()
 	d := time.Duration(factor * est * float64(time.Second))
 	if d < minStragglerWait {
@@ -569,13 +568,7 @@ func (s *scheduler) commit(g int, t *shardTask, isSpec bool, compSec float64) bo
 	}()
 	t.running--
 	if t.weight > 0 && compSec > 0 {
-		r := compSec / t.weight
-		if s.ewmaN == 0 {
-			s.ewma = r
-		} else {
-			s.ewma += 0.25 * (r - s.ewma)
-		}
-		s.ewmaN++
+		s.ewma.Observe(compSec / t.weight)
 	}
 	if t.done {
 		return false

@@ -16,42 +16,12 @@ import (
 // faults and re-admits it through half-open probe shards, so one sick
 // GPU degrades the cluster by its own share and nothing more.
 //
-// Breaker state machine (per GPU):
-//
-//	Closed ──K consecutive faults──▶ Open ──CooldownRuns plans──▶ HalfOpen
-//	  ▲                                ▲                             │
-//	  │                                └────────any fault────────────┤
-//	  └──────────────fault-free probe run with ≥1 shard──────────────┘
-//
-// Breaker-relevant faults are device losses and verification failures
-// (caught corruptions) — the classes that indicate a sick device.
-// Transient errors and stragglers are routine at scale and never trip
-// the breaker; the in-run scheduler already absorbs them.
-
-// BreakerState is the circuit-breaker state of one GPU.
-type BreakerState int
-
-const (
-	// BreakerClosed: the GPU is healthy and receives its full share.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: the GPU is quarantined and excluded from plans.
-	BreakerOpen
-	// BreakerHalfOpen: the GPU is offered a small probe shard; a
-	// fault-free probe closes the breaker, any fault re-opens it.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
+// Each GPU runs the shared Breaker (breaker.go) with the registry's plan
+// counter as its tick. Breaker-relevant faults are device losses and
+// verification failures (caught corruptions) — the classes that
+// indicate a sick device. Transient errors and stragglers are routine
+// at scale and never trip the breaker; the in-run scheduler already
+// absorbs them.
 
 // HealthConfig tunes the circuit breaker. The zero value selects the
 // documented defaults.
@@ -88,7 +58,8 @@ type GPUHealth struct {
 	// ConsecutiveFaults is the current fault streak counting toward the
 	// threshold (closed state only).
 	ConsecutiveFaults int
-	// SitOut is how many plans the GPU has sat out while open.
+	// SitOut is how many plans have passed since the trip while open
+	// (zero otherwise).
 	SitOut int
 	// Trips is how many times the breaker has opened over its lifetime.
 	Trips int
@@ -97,13 +68,10 @@ type GPUHealth struct {
 	Faults int
 }
 
-type breaker struct {
-	state       BreakerState
-	consecutive int
-	sitOut      int
-	trips       int
-	shards      int
-	faults      int
+type gpuHealth struct {
+	br     Breaker
+	shards int
+	faults int
 }
 
 // HealthRegistry is the persistent per-GPU breaker state shared across
@@ -111,26 +79,27 @@ type breaker struct {
 // for concurrent use. The zero registry is not valid; use
 // NewHealthRegistry.
 type HealthRegistry struct {
-	mu   sync.Mutex
-	cfg  HealthConfig
-	gpus map[int]*breaker
+	mu    sync.Mutex
+	cfg   HealthConfig
+	plans int64 // plans admitted so far: the breakers' tick
+	gpus  map[int]*gpuHealth
 }
 
 // NewHealthRegistry builds a registry with the given breaker tuning.
 func NewHealthRegistry(cfg HealthConfig) *HealthRegistry {
-	return &HealthRegistry{cfg: cfg.withDefaults(), gpus: map[int]*breaker{}}
+	return &HealthRegistry{cfg: cfg.withDefaults(), gpus: map[int]*gpuHealth{}}
 }
 
 // Config returns the default-filled configuration.
 func (r *HealthRegistry) Config() HealthConfig { return r.cfg }
 
-func (r *HealthRegistry) breakerLocked(g int) *breaker {
-	b := r.gpus[g]
-	if b == nil {
-		b = &breaker{}
-		r.gpus[g] = b
+func (r *HealthRegistry) gpuLocked(g int) *gpuHealth {
+	h := r.gpus[g]
+	if h == nil {
+		h = &gpuHealth{}
+		r.gpus[g] = h
 	}
-	return b
+	return h
 }
 
 // Admission is the registry's verdict for one plan: the devices that
@@ -144,35 +113,32 @@ type Admission struct {
 	ProbeBuckets int
 }
 
-// Admit partitions GPUs [0, n) for the next plan and advances the open
-// breakers' cooldown clocks (one tick per plan). Quarantined devices
-// whose cooldown has elapsed move to half-open and are offered a probe.
-// If every device is open — the whole cluster quarantined — the registry
-// fails towards availability: all devices are re-admitted as probes
-// rather than refusing to plan at all.
+// Admit partitions GPUs [0, n) for the next plan, which advances the
+// breakers' tick by one. Quarantined devices whose cooldown has elapsed
+// move to half-open and are offered a probe. If every device is open —
+// the whole cluster quarantined — the registry fails towards
+// availability: all devices are re-admitted as probes rather than
+// refusing to plan at all.
 func (r *HealthRegistry) Admit(n int) Admission {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.plans++
+	cooldown := int64(r.cfg.CooldownRuns)
 	adm := Admission{ProbeBuckets: r.cfg.ProbeBuckets}
 	for g := 0; g < n; g++ {
-		b := r.breakerLocked(g)
-		switch b.state {
-		case BreakerClosed:
+		b := &r.gpuLocked(g).br
+		if !b.Admit(r.plans, cooldown) {
+			continue
+		}
+		if b.State() == BreakerClosed {
 			adm.Full = append(adm.Full, g)
-		case BreakerHalfOpen:
+		} else {
 			adm.Probes = append(adm.Probes, g)
-		case BreakerOpen:
-			b.sitOut++
-			if b.sitOut >= r.cfg.CooldownRuns {
-				b.state = BreakerHalfOpen
-				adm.Probes = append(adm.Probes, g)
-			}
 		}
 	}
 	if len(adm.Full) == 0 && len(adm.Probes) == 0 {
 		for g := 0; g < n; g++ {
-			b := r.breakerLocked(g)
-			b.state = BreakerHalfOpen
+			r.gpuLocked(g).br.state = BreakerHalfOpen
 			adm.Probes = append(adm.Probes, g)
 		}
 	}
@@ -182,53 +148,28 @@ func (r *HealthRegistry) Admit(n int) Admission {
 // RecordRun folds one run's outcome for GPU g into the breaker: shards
 // is how many shard executions the device committed, faults how many
 // breaker-relevant faults (device losses + verification failures) it
-// produced. Closed devices accumulate consecutive faults toward the
-// threshold; half-open devices close on a fault-free probe with at least
-// one committed shard and re-open on any fault.
+// produced. Any fault is a failure of that count; a fault-free run with
+// at least one committed shard is a success. A run with neither (a
+// probe whose shard was stolen, or a run cancelled first) leaves the
+// breaker as it is, so a half-open device is probed again next plan.
 func (r *HealthRegistry) RecordRun(g, shards, faults int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.breakerLocked(g)
-	b.shards += shards
-	b.faults += faults
-	switch b.state {
-	case BreakerClosed:
-		if faults > 0 {
-			b.consecutive += faults
-			if b.consecutive >= r.cfg.FaultThreshold {
-				r.openLocked(b)
-			}
-		} else if shards > 0 {
-			b.consecutive = 0
-		}
-	case BreakerHalfOpen:
-		if faults > 0 {
-			r.openLocked(b)
-		} else if shards > 0 {
-			b.state = BreakerClosed
-			b.consecutive = 0
-		}
-		// A half-open device that saw neither shards nor faults (its probe
-		// was stolen, or the run was cancelled first) stays half-open and
-		// is probed again next plan.
-	case BreakerOpen:
-		// Work reached a quarantined device only through the all-open
-		// emergency re-admission; faults keep it quarantined.
+	h := r.gpuLocked(g)
+	h.shards += shards
+	h.faults += faults
+	if faults > 0 {
+		h.br.Fail(faults, r.plans, r.cfg.FaultThreshold)
+	} else if shards > 0 {
+		h.br.Succeed()
 	}
-}
-
-func (r *HealthRegistry) openLocked(b *breaker) {
-	b.state = BreakerOpen
-	b.consecutive = 0
-	b.sitOut = 0
-	b.trips++
 }
 
 // State returns GPU g's current breaker state.
 func (r *HealthRegistry) State(g int) BreakerState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.breakerLocked(g).state
+	return r.gpuLocked(g).br.State()
 }
 
 // Snapshot returns the registry state for GPUs [0, n) — the payload of a
@@ -238,15 +179,17 @@ func (r *HealthRegistry) Snapshot(n int) []GPUHealth {
 	defer r.mu.Unlock()
 	out := make([]GPUHealth, n)
 	for g := 0; g < n; g++ {
-		b := r.breakerLocked(g)
+		h := r.gpuLocked(g)
 		out[g] = GPUHealth{
 			GPU:               g,
-			State:             b.state,
-			ConsecutiveFaults: b.consecutive,
-			SitOut:            b.sitOut,
-			Trips:             b.trips,
-			Shards:            b.shards,
-			Faults:            b.faults,
+			State:             h.br.State(),
+			ConsecutiveFaults: h.br.Streak(),
+			Trips:             h.br.Trips(),
+			Shards:            h.shards,
+			Faults:            h.faults,
+		}
+		if h.br.State() == BreakerOpen {
+			out[g].SitOut = int(r.plans - h.br.tripped)
 		}
 	}
 	return out
@@ -258,7 +201,7 @@ func (r *HealthRegistry) Quarantined(n int) int {
 	defer r.mu.Unlock()
 	q := 0
 	for g := 0; g < n; g++ {
-		if r.breakerLocked(g).state == BreakerOpen {
+		if r.gpuLocked(g).br.State() == BreakerOpen {
 			q++
 		}
 	}

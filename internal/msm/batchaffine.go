@@ -1,9 +1,6 @@
 package msm
 
 import (
-	"fmt"
-
-	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
 	"distmsm/internal/field"
 )
@@ -206,38 +203,4 @@ func (b *BatchAffineAccumulator) edgeInsert(acc *curve.PointAffine, pt *curve.Po
 // the windowSum convention (0 = skip, negative = negated point).
 func BatchAffineSum(c *curve.Curve, points []curve.PointAffine, digits []int32, nBuckets int) []curve.PointAffine {
 	return NewBatchAffineAccumulator(c, nBuckets).Sum(points, digits)
-}
-
-// BatchAffineMSM is a full MSM built on the batch-affine bucket
-// accumulation (serial windows; a reference for the ablation benchmark).
-// One accumulator is reused across all windows.
-func BatchAffineMSM(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, cfg Config) (*curve.PointXYZZ, error) {
-	if len(points) != len(scalars) {
-		return nil, fmt.Errorf("msm: %d points but %d scalars", len(points), len(scalars))
-	}
-	if len(points) == 0 {
-		return c.NewXYZZ(), nil
-	}
-	cfg = cfg.resolve(len(points))
-	digits := digitsMatrix(c, scalars, cfg)
-	nBuckets := 1 << cfg.WindowSize
-	if cfg.Signed {
-		nBuckets = 1<<(cfg.WindowSize-1) + 1
-	}
-	a := c.NewAdder()
-	accum := NewBatchAffineAccumulator(c, nBuckets)
-	windows := make([]*curve.PointXYZZ, len(digits))
-	for j := range digits {
-		buckets := accum.Sum(points, digits[j])
-		running := c.NewXYZZ()
-		total := c.NewXYZZ()
-		for b := nBuckets - 1; b >= 1; b-- {
-			if !buckets[b].Inf {
-				a.Acc(running, &buckets[b])
-			}
-			a.Add(total, running)
-		}
-		windows[j] = total
-	}
-	return reduceWindows(c, windows, cfg.WindowSize, a), nil
 }

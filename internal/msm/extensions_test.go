@@ -10,45 +10,9 @@ import (
 
 // --- precomputation (§2.3.1) ---
 
-func TestPrecomputedMSMMatchesReference(t *testing.T) {
-	for _, name := range []string{"BN254", "BLS12-381"} {
-		c := mustCurve(t, name)
-		n := 48
-		points := c.SamplePoints(n, 51)
-		scalars := c.SampleScalars(n, 52)
-		want := c.MSMReference(points, scalars)
-		for _, cfg := range []Config{
-			{WindowSize: 6},
-			{WindowSize: 9, Signed: true},
-		} {
-			pre, err := Precompute(c, points, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pre.MSM(scalars)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !c.EqualXYZZ(got, want) {
-				t.Fatalf("%s cfg=%+v: precomputed MSM mismatch", name, cfg)
-			}
-			if pre.Tables() < 2 {
-				t.Fatalf("%s: suspicious table count %d", name, pre.Tables())
-			}
-		}
-	}
-}
-
 func TestPrecomputedErrors(t *testing.T) {
 	c := mustCurve(t, "BN254")
 	points := c.SamplePoints(4, 1)
-	pre, err := Precompute(c, points, Config{WindowSize: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pre.MSM(c.SampleScalars(5, 2)); err == nil {
-		t.Fatal("scalar-count mismatch must error")
-	}
 	if _, err := Precompute(c, points, Config{WindowSize: 40}); err == nil {
 		t.Fatal("oversized window must error")
 	}
@@ -108,51 +72,7 @@ func TestBatchAffineSumMatchesWindowSum(t *testing.T) {
 	}
 }
 
-func TestBatchAffineMSMMatchesReference(t *testing.T) {
-	c := mustCurve(t, "BLS12-381")
-	n := 64
-	points := c.SamplePoints(n, 71)
-	scalars := c.SampleScalars(n, 72)
-	want := c.MSMReference(points, scalars)
-	for _, cfg := range []Config{
-		{WindowSize: 5},
-		{WindowSize: 8, Signed: true},
-	} {
-		got, err := BatchAffineMSM(c, points, scalars, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.EqualXYZZ(got, want) {
-			t.Fatalf("cfg=%+v: batch-affine MSM mismatch", cfg)
-		}
-	}
-	if _, err := BatchAffineMSM(c, points[:2], scalars, Config{}); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-	empty, err := BatchAffineMSM(c, nil, nil, Config{})
-	if err != nil || !empty.IsInf() {
-		t.Fatal("empty batch-affine MSM should be infinity")
-	}
-}
-
 // --- GLV endomorphism ---
-
-// subgroupPoints returns n distinct points of the prime-order subgroup
-// (multiples of the canonical generator), required by GLV.
-func subgroupPoints(t *testing.T, c *curve.Curve, n int, seed int64) []curve.PointAffine {
-	t.Helper()
-	a := c.NewAdder()
-	acc := c.NewXYZZ()
-	c.SetAffine(acc, &c.Gen)
-	step := c.SampleScalars(1, seed)[0]
-	base := a.ScalarMul(&c.Gen, step)
-	var chain []*curve.PointXYZZ
-	for i := 0; i < n; i++ {
-		a.Add(base, acc)
-		chain = append(chain, base.Clone())
-	}
-	return c.BatchToAffine(chain)
-}
 
 func TestGLVDecompose(t *testing.T) {
 	for _, name := range []string{"BN254", "BLS12-381"} {
@@ -213,37 +133,6 @@ func TestGLVPhiIsEndomorphism(t *testing.T) {
 	}
 }
 
-func TestGLVMSMMatchesReference(t *testing.T) {
-	for _, name := range []string{"BN254", "BLS12-381"} {
-		c := mustCurve(t, name)
-		g, err := NewGLV(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 48
-		points := subgroupPoints(t, c, n, 91)
-		scalars := c.SampleScalars(n, 92)
-		want := c.MSMReference(points, scalars)
-		got, err := g.MSM(points, scalars, Config{WindowSize: 8, Signed: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.EqualXYZZ(got, want) {
-			t.Fatalf("%s: GLV MSM mismatch", name)
-		}
-		// The inputs must not be corrupted by the sign handling.
-		for i := range points {
-			if !c.IsOnCurveAffine(&points[i]) {
-				t.Fatalf("%s: input point %d mutated", name, i)
-			}
-		}
-		again := c.MSMReference(points, scalars)
-		if !c.EqualXYZZ(again, want) {
-			t.Fatalf("%s: inputs changed by GLV MSM", name)
-		}
-	}
-}
-
 func TestGLVRejectsUnsupportedCurves(t *testing.T) {
 	c := mustCurve(t, "MNT4753") // a = 2, no j-invariant-0 endomorphism
 	if _, err := NewGLV(c); err == nil {
@@ -254,49 +143,4 @@ func TestGLVRejectsUnsupportedCurves(t *testing.T) {
 	if _, err := NewGLV(mustCurve(t, "BLS12-377")); err == nil {
 		t.Fatal("BLS12-377 (derived generator) must be rejected")
 	}
-}
-
-func BenchmarkMSMVariants(b *testing.B) {
-	c := mustCurve(b, "BN254")
-	const n = 1 << 12
-	points := c.SamplePoints(n, 5)
-	scalars := c.SampleScalars(n, 6)
-	cfg := Config{Signed: true, Workers: 1}
-
-	b.Run("pippenger", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MSM(c, points, scalars, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch-affine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := BatchAffineMSM(c, points, scalars, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	g, err := NewGLV(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("glv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := g.MSM(points, scalars, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	pre, err := Precompute(c, points, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("precomputed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pre.MSM(scalars); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

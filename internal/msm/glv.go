@@ -178,9 +178,6 @@ func roundedDiv(a, b *big.Int) *big.Int {
 // rounded lattice reduction can overshoot √r by a small factor.
 func (g *GLV) HalfBits() int { return g.halfBits }
 
-// Curve returns the curve the decomposition was built for.
-func (g *GLV) Curve() *curve.Curve { return g.c }
-
 // SplitPoints returns the 2N-point GLV base vector
 // [P_0, …, P_{n−1}, φ(P_0), …, φ(P_{n−1})]: the fixed, scalar-independent
 // half of the endomorphism split (the signs of the decomposed scalars are
@@ -227,50 +224,4 @@ func (g *GLV) Phi(p *curve.PointAffine) curve.PointAffine {
 	out := curve.PointAffine{X: g.c.Fp.NewElement(), Y: p.Y.Clone()}
 	g.c.Fp.Mul(out.X, p.X, g.beta)
 	return out
-}
-
-// MSM computes Σ k_i·P_i with the endomorphism split: 2N points with
-// half-width scalars, then the standard Pippenger. All points must lie
-// in the prime-order subgroup (the λ-relation does not hold elsewhere).
-func (g *GLV) MSM(points []curve.PointAffine, scalars []bigint.Nat, cfg Config) (*curve.PointXYZZ, error) {
-	if len(points) != len(scalars) {
-		return nil, fmt.Errorf("msm: %d points but %d scalars", len(points), len(scalars))
-	}
-	c := g.c
-	fr := c.ScalarField
-	halfWidth := (g.halfBits + 4 + 63) / 64
-	splitPts := make([]curve.PointAffine, 0, 2*len(points))
-	splitKs := make([]bigint.Nat, 0, 2*len(points))
-	for i := range points {
-		k := scalars[i].ToBig()
-		k.Mod(k, fr.Modulus)
-		k1, k2 := g.Decompose(k)
-		for half, ki := range []*big.Int{k1, k2} {
-			var pt curve.PointAffine
-			if half == 1 {
-				pt = g.Phi(&points[i])
-			} else {
-				pt = curve.PointAffine{X: points[i].X, Y: points[i].Y, Inf: points[i].Inf}
-			}
-			if ki.Sign() < 0 {
-				ki = new(big.Int).Neg(ki)
-				// Negate into a fresh element; pt may share storage with
-				// the caller's point.
-				negY := c.Fp.NewElement()
-				if !pt.Inf {
-					c.Fp.Neg(negY, pt.Y)
-					pt.Y = negY
-				}
-			}
-			if ki.BitLen() > g.halfBits+4 {
-				return nil, fmt.Errorf("msm: GLV half-scalar too wide (%d bits)", ki.BitLen())
-			}
-			splitPts = append(splitPts, pt)
-			splitKs = append(splitKs, bigint.FromBig(ki, halfWidth))
-		}
-	}
-	// Run Pippenger with the reduced scalar width.
-	halfCurve := *c
-	halfCurve.ScalarBits = g.halfBits + 4
-	return MSM(&halfCurve, splitPts, splitKs, cfg)
 }

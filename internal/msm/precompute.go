@@ -3,7 +3,6 @@ package msm
 import (
 	"fmt"
 
-	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
 )
 
@@ -13,11 +12,10 @@ import (
 // summed using a single PADD operation". The whole MSM then collapses to
 // a single window's bucket sum — no window-reduce doublings at all — at
 // the cost of ⌈λ/s⌉× point storage. This is the memory/compute trade the
-// ZPrize winners (and Yrrid) use; DistMSM adopts it for fixed bases.
+// ZPrize winners (and Yrrid) use; DistMSM adopts it for fixed bases,
+// evaluating the Flatten layout in core's fixed-base strategy.
 type Precomputed struct {
-	c      *curve.Curve
-	s      int
-	signed bool
+	c *curve.Curve
 	// tables[j][i] = 2^(j·s)·P_i in affine form.
 	tables [][]curve.PointAffine
 }
@@ -35,7 +33,7 @@ func Precompute(c *curve.Curve, points []curve.PointAffine, cfg Config) (*Precom
 	if cfg.Signed {
 		nWin++ // carry window
 	}
-	p := &Precomputed{c: c, s: s, signed: cfg.Signed, tables: make([][]curve.PointAffine, nWin)}
+	p := &Precomputed{c: c, tables: make([][]curve.PointAffine, nWin)}
 	p.tables[0] = points
 	a := c.NewAdder()
 	prev := points
@@ -55,21 +53,8 @@ func Precompute(c *curve.Curve, points []curve.PointAffine, cfg Config) (*Precom
 	return p, nil
 }
 
-// WindowSize returns the precomputation's window size s.
-func (p *Precomputed) WindowSize() int { return p.s }
-
-// Tables returns the number of stored point tables (the storage factor).
-func (p *Precomputed) Tables() int { return len(p.tables) }
-
 // N returns the base-vector length the tables were built for.
 func (p *Precomputed) N() int { return len(p.tables[0]) }
-
-// Signed reports whether the tables were sized for signed-digit recoding.
-func (p *Precomputed) Signed() bool { return p.signed }
-
-// Table returns window j's point column (table[j][i] = 2^(j·s)·P_i). The
-// slice is shared, not copied — callers must treat it as read-only.
-func (p *Precomputed) Table(j int) []curve.PointAffine { return p.tables[j] }
 
 // Flatten concatenates the window tables into one point vector with
 // flat[j·n+i] = 2^(j·s)·P_i — the layout of the merged single-window
@@ -95,64 +80,4 @@ func (p *Precomputed) MemoryBytes() int64 { return TableBytes(p.c, len(p.tables)
 func TableBytes(c *curve.Curve, tables, n int) int64 {
 	limbBytes := int64((c.Fp.Bits()+63)/64) * 8
 	return int64(tables) * int64(n) * 2 * limbBytes
-}
-
-// MSM computes Σ scalars[i]·P_i using the precomputed tables: all windows
-// scatter into one shared bucket array, followed by a single bucket
-// reduction and no doublings.
-func (p *Precomputed) MSM(scalars []bigint.Nat) (*curve.PointXYZZ, error) {
-	c := p.c
-	if len(scalars) != len(p.tables[0]) {
-		return nil, fmt.Errorf("msm: %d scalars for %d precomputed points", len(scalars), len(p.tables[0]))
-	}
-	nBuckets := 1 << p.s
-	if p.signed {
-		nBuckets = 1<<(p.s-1) + 1
-	}
-	buckets := make([]*curve.PointXYZZ, nBuckets)
-	a := c.NewAdder()
-	negY := c.Fp.NewElement()
-
-	acc := func(d int32, pt *curve.PointAffine) {
-		if d == 0 || pt.Inf {
-			return
-		}
-		use := pt
-		var neg curve.PointAffine
-		if d < 0 {
-			c.Fp.Neg(negY, pt.Y)
-			neg = curve.PointAffine{X: pt.X, Y: negY}
-			use = &neg
-			d = -d
-		}
-		if buckets[d] == nil {
-			buckets[d] = c.NewXYZZ()
-		}
-		a.Acc(buckets[d], use)
-	}
-
-	for i, k := range scalars {
-		if p.signed {
-			for j, d := range SignedDigits(k, c.ScalarBits, p.s) {
-				if j >= len(p.tables) {
-					return nil, fmt.Errorf("msm: scalar %d overflows precomputed windows", i)
-				}
-				acc(d, &p.tables[j][i])
-			}
-		} else {
-			for j, d := range Digits(k, c.ScalarBits, p.s) {
-				acc(int32(d), &p.tables[j][i])
-			}
-		}
-	}
-
-	running := c.NewXYZZ()
-	total := c.NewXYZZ()
-	for b := nBuckets - 1; b >= 1; b-- {
-		if buckets[b] != nil {
-			a.Add(running, buckets[b])
-		}
-		a.Add(total, running)
-	}
-	return total, nil
 }

@@ -115,6 +115,17 @@ func (d *Domain) shift(a []field.Element, g field.Element) {
 	}
 }
 
+// bitReverse applies the bit-reversal permutation to a, whose length is
+// a power of two.
+func bitReverse(a []field.Element) {
+	shift := 64 - uint(bits.TrailingZeros(uint(len(a))))
+	for i := range a {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+}
+
 // transform is the iterative radix-2 Cooley–Tukey NTT with the given
 // primitive root. The context is checked before the bit-reversal and
 // between the log2(N) butterfly passes; a cancelled transform leaves the
@@ -131,14 +142,7 @@ func (d *Domain) transform(ctx context.Context, a []field.Element, omega field.E
 		return err
 	}
 	f := d.F
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
+	bitReverse(a)
 	t1, t2 := f.NewElement(), f.NewElement()
 	for size := 2; size <= n; size <<= 1 {
 		if err := ctx.Err(); err != nil {

@@ -99,14 +99,7 @@ func (d *Domain) parallelTransform(ctx context.Context, a []field.Element, omega
 		return err
 	}
 	f := d.F
-	// Bit-reversal permutation (cheap, serial).
-	shift := 64 - uint(trailingZeros(n))
-	for i := 0; i < n; i++ {
-		j := int(reverse64(uint64(i)) >> shift)
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
+	bitReverse(a) // cheap, serial
 	for size := 2; size <= n; size <<= 1 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -198,23 +191,4 @@ func parallelRange(n, workers int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-func trailingZeros(n int) int {
-	k := 0
-	for n&1 == 0 {
-		n >>= 1
-		k++
-	}
-	return k
-}
-
-func reverse64(v uint64) uint64 {
-	v = v>>32 | v<<32
-	v = (v&0xffff0000ffff0000)>>16 | (v&0x0000ffff0000ffff)<<16
-	v = (v&0xff00ff00ff00ff00)>>8 | (v&0x00ff00ff00ff00ff)<<8
-	v = (v&0xf0f0f0f0f0f0f0f0)>>4 | (v&0x0f0f0f0f0f0f0f0f)<<4
-	v = (v&0xcccccccccccccccc)>>2 | (v&0x3333333333333333)<<2
-	v = (v&0xaaaaaaaaaaaaaaaa)>>1 | (v&0x5555555555555555)<<1
-	return v
 }

@@ -305,11 +305,11 @@ type circuit struct {
 	// retry-after hints and the doomed-job shed decision (a job whose
 	// remaining budget is below it is a near-certain miss). Guarded by
 	// Service.mu.
-	ewmaSec float64
+	ewmaSec telemetry.EWMA
 	// phaseEwma tracks the EWMA wall cost of each G1 MSM phase for this
 	// circuit (indexed by groth16.MSMPhase), feeding the phase-boundary
 	// shed check. Guarded by Service.mu.
-	phaseEwma [4]float64
+	phaseEwma [4]telemetry.EWMA
 }
 
 // circuitBases is one circuit's proving-key precomputation: §2.3.1
@@ -478,7 +478,8 @@ type Service struct {
 	queued        int
 	inFlight      int
 	stats         Stats
-	// ewmaJobSec is the completion-time EWMA feeding retry-after hints.
+	// ewmaJobSec is the completion-time EWMA feeding retry-after hints,
+	// a telemetry.EWMA held as plain seconds.
 	ewmaJobSec float64
 	// tables lists every resident fixed-base table set — circuit bases
 	// and /v1/msm shard bases alike — for the one LRU (tables.go); shards
@@ -857,8 +858,8 @@ func (s *Service) quotaLanesLocked() int {
 // circuit's retry hints: the circuit's own EWMA when calibrated, the
 // service-wide one otherwise, 1s before anything has completed.
 func (s *Service) circuitEwmaLocked(circuit string) float64 {
-	if c := s.circuits[circuit]; c != nil && c.ewmaSec > 0 {
-		return c.ewmaSec
+	if c := s.circuits[circuit]; c != nil && c.ewmaSec.Ready() {
+		return float64(c.ewmaSec)
 	}
 	if s.ewmaJobSec > 0 {
 		return s.ewmaJobSec
@@ -1046,7 +1047,7 @@ func (s *Service) shedVerdict(job *Job) *ShedError {
 	s.mu.Lock()
 	ewma := s.circuits[job.Circuit].ewmaSec
 	s.mu.Unlock()
-	if est := time.Duration(ewma * float64(time.Second)); est > 0 && remaining < est {
+	if est := time.Duration(float64(ewma) * float64(time.Second)); est > 0 && remaining < est {
 		return &ShedError{Reason: ShedDoomed, Remaining: remaining, Estimate: est}
 	}
 	return nil
@@ -1161,16 +1162,8 @@ func (s *Service) runJob(job *Job) {
 	// shed jobs, whose truncated wall time would talk the EWMA down and
 	// make the shed threshold eat ever-healthier jobs.
 	if outcome != outcomeCancelled && shed == nil {
-		if s.ewmaJobSec == 0 {
-			s.ewmaJobSec = sec
-		} else {
-			s.ewmaJobSec += 0.25 * (sec - s.ewmaJobSec)
-		}
-		if c.ewmaSec == 0 {
-			c.ewmaSec = sec
-		} else {
-			c.ewmaSec += 0.25 * (sec - c.ewmaSec)
-		}
+		(*telemetry.EWMA)(&s.ewmaJobSec).Observe(sec)
+		c.ewmaSec.Observe(sec)
 	}
 	// A finished job frees its circuit's in-flight lane: wake workers
 	// parked on the quota gate.
@@ -1222,7 +1215,7 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 			if s.cfg.ShedDoomed {
 				if dl, ok := msmCtx.Deadline(); ok {
 					s.mu.Lock()
-					est := time.Duration(c.phaseEwma[phase] * float64(time.Second))
+					est := time.Duration(float64(c.phaseEwma[phase]) * float64(time.Second))
 					s.mu.Unlock()
 					if remaining := time.Until(dl); est > 0 && remaining < est {
 						return nil, &ShedError{Reason: ShedPhase, Remaining: remaining, Estimate: est}
@@ -1248,11 +1241,7 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 			// wall time measures the deadline, not the phase).
 			sec := time.Since(phaseStart).Seconds()
 			s.mu.Lock()
-			if c.phaseEwma[phase] == 0 {
-				c.phaseEwma[phase] = sec
-			} else {
-				c.phaseEwma[phase] += 0.25 * (sec - c.phaseEwma[phase])
-			}
+			c.phaseEwma[phase].Observe(sec)
 			s.mu.Unlock()
 			s.metrics.observeMSM(res.Stats.Faults)
 			return res.Point, nil
