@@ -44,7 +44,7 @@ bench:
 # or allocate unexpectedly without paying the full measurement cost (CI).
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/bigint ./internal/field ./internal/curve ./internal/pairing
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/bigint ./internal/field ./internal/curve ./internal/pairing ./internal/ntt ./internal/groth16
 
 # Short differential-fuzz pass over the unrolled Montgomery kernels,
 # binary-GCD inversion (vs Fermat), the value-typed pairing tower (vs a
@@ -79,10 +79,12 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke
 
 # Cluster failover smoke: a coordinator with two in-process worker
-# nodes over real loopback HTTP, one worker killed mid-batch (no
-# deregister — its lease must expire). Exits non-zero unless every job
-# completes with a verified proof AND the lost-node/redispatch path
-# actually ran.
+# nodes over real loopback HTTP, one worker partitioned mid-batch while
+# it owes a proof (no deregister; its in-flight requests are accepted
+# and never answered, so only lease expiry can take them back). Exits
+# non-zero unless every job completes with a verified proof, the
+# crashed worker was marked lost (LostNodes >= 1) AND at least one
+# in-flight job came back through the lost lease (LostJobsRecovered >= 1).
 cluster-smoke:
 	$(GO) run ./cmd/coordinator -smoke 8
 

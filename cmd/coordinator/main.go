@@ -16,9 +16,11 @@
 // catch); -gpus 0 disables it, leaving the cluster remote-only.
 //
 // Smoke mode brings up a coordinator and two in-process worker nodes on
-// loopback listeners, runs N jobs through the cluster, kills one worker
-// abruptly mid-run (no deregister — heartbeats just stop, like a
-// crashed process) and requires every job to complete via failover. It
+// loopback listeners, runs N jobs through the cluster, and partitions
+// one worker away mid-run while it owes a proof (no deregister —
+// heartbeats just stop, and its requests are accepted but never
+// answered). Every job must complete, the worker must be marked lost,
+// and at least one held job must come back through the lost lease. It
 // exits non-zero on any failure — the CI entry point:
 //
 //	coordinator -smoke 8
@@ -192,19 +194,88 @@ func serveLoopback(h http.Handler) (*http.Server, string, error) {
 // smokeWorker is one in-process worker node: a proving service on a
 // loopback listener plus the cluster agent that keeps it registered.
 type smokeWorker struct {
-	svc     *service.Service
-	srv     *http.Server
-	url     string
-	agent   *cluster.Agent
-	crashed bool
+	svc      *service.Service
+	handler  http.Handler // svc.Handler(), served through heldWriter
+	srv      *http.Server
+	url      string
+	agent    *cluster.Agent
+	released chan struct{} // closed at shutdown: lets every held response go
+
+	mu         sync.Mutex
+	crashed    bool
+	unanswered int // requests whose response has not started
 }
 
-// crash simulates the worker process dying: the agent stops without
-// deregistering and the listener closes mid-connection.
-func (w *smokeWorker) crash() {
-	w.crashed = true
-	w.agent.Kill()
-	_ = w.srv.Close()
+// crashWhenBusy simulates the worker partitioning away at a moment it
+// owes an answer: once a request is unanswered, the agent stops without
+// deregistering and every response not yet started — that one, and any
+// later request's — is accepted and never answered (see heldWriter), so
+// only the coordinator's lease expiry can take those jobs back. It gives
+// up, returning false, if done closes first.
+func (w *smokeWorker) crashWhenBusy(done <-chan struct{}) bool {
+	for {
+		w.mu.Lock()
+		if w.unanswered > 0 {
+			w.crashed = true
+			w.mu.Unlock()
+			w.agent.Kill()
+			return true
+		}
+		w.mu.Unlock()
+		select {
+		case <-done:
+			return false
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// ServeHTTP serves the worker's service, each response through a
+// heldWriter.
+func (w *smokeWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	w.mu.Lock()
+	w.unanswered++
+	w.mu.Unlock()
+	h := &heldWriter{ResponseWriter: rw, w: w, r: r}
+	w.handler.ServeHTTP(h, r)
+	h.answer()
+}
+
+// heldWriter gates a response at its first byte: a live worker lets it
+// through, a crashed one holds it until the caller abandons the request
+// or the topology shuts down.
+type heldWriter struct {
+	http.ResponseWriter
+	w        *smokeWorker
+	r        *http.Request
+	answered bool
+}
+
+func (h *heldWriter) answer() {
+	if h.answered {
+		return
+	}
+	h.answered = true
+	h.w.mu.Lock()
+	h.w.unanswered--
+	crashed := h.w.crashed
+	h.w.mu.Unlock()
+	if crashed {
+		select {
+		case <-h.r.Context().Done():
+		case <-h.w.released:
+		}
+	}
+}
+
+func (h *heldWriter) WriteHeader(code int) {
+	h.answer()
+	h.ResponseWriter.WriteHeader(code)
+}
+
+func (h *heldWriter) Write(b []byte) (int, error) {
+	h.answer()
+	return h.ResponseWriter.Write(b)
 }
 
 // loopback is the smokes' topology: a coordinator and two provd
@@ -227,11 +298,11 @@ func startLoopback(ctx context.Context, cfg cluster.Config, liar *cluster.NodeIn
 		if err != nil {
 			return nil, err
 		}
-		srv, url, err := serveLoopback(svc.Handler())
-		if err != nil {
+		w := &smokeWorker{svc: svc, handler: svc.Handler(), released: make(chan struct{})}
+		if w.srv, w.url, err = serveLoopback(w); err != nil {
 			return nil, err
 		}
-		lb.workers[i] = &smokeWorker{svc: svc, srv: srv, url: url}
+		lb.workers[i] = w
 	}
 	if liar != nil {
 		liarURL := lb.workers[0].url
@@ -285,7 +356,10 @@ func startLoopback(ctx context.Context, cfg cluster.Config, liar *cluster.NodeIn
 // shuts down, every worker service drains, then the coordinator stops.
 func (lb *loopback) close(ctx context.Context) {
 	for _, w := range lb.workers {
-		if !w.crashed {
+		close(w.released)
+		if w.crashed {
+			_ = w.srv.Close()
+		} else {
 			w.agent.Stop()
 			_ = w.srv.Shutdown(ctx)
 		}
@@ -304,9 +378,13 @@ func runSmoke(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
+	// HedgeMin outlasts the lease: a hedge would race the lease for a held
+	// job, and the lease path is what this smoke covers (the chaos suites
+	// cover hedging).
 	lb, err := startLoopback(ctx, cluster.Config{
 		Local:           local,
 		Lease:           smokeLease,
+		HedgeMin:        4 * smokeLease,
 		DefaultTimeout:  o.timeout,
 		DispatchTimeout: 10 * time.Second,
 		Metrics:         telemetry.NewRegistry(),
@@ -332,13 +410,19 @@ func runSmoke(ctx context.Context, o options) error {
 			results[i] = result{seed: seed, proof: proof, err: err}
 		}(i)
 	}
-	// Kill worker 0 while the batch is in flight: its lease expires, its
-	// jobs re-dispatch to worker 1 (or degrade to local), and the batch
-	// must still complete.
-	time.Sleep(smokeLease / 2)
-	fmt.Println("coordinator: crashing smoke worker 0 mid-batch")
-	lb.workers[0].crash()
-	wg.Wait()
+	batchDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(batchDone)
+	}()
+	// Crash worker 0 while it owes the batch a proof: its lease expires,
+	// the held jobs re-dispatch to worker 1 (or degrade to local), and
+	// the batch must still complete.
+	crashed := lb.workers[0].crashWhenBusy(batchDone)
+	if crashed {
+		fmt.Println("coordinator: crashed smoke worker 0 mid-batch")
+	}
+	<-batchDone
 
 	failed := 0
 	for _, r := range results {
@@ -366,8 +450,14 @@ func runSmoke(ctx context.Context, o options) error {
 	if failed > 0 {
 		return fmt.Errorf("smoke: %d of %d jobs failed after a worker crash", failed, n)
 	}
+	if !crashed {
+		return errors.New("smoke: worker 0 never held a job, so nothing was crashed")
+	}
 	if st.LostNodes == 0 {
 		return errors.New("smoke: the crashed worker was never marked lost — the failover path did not run")
+	}
+	if st.LostJobsRecovered == 0 {
+		return errors.New("smoke: no job came back through the lost lease — the re-dispatch path did not run")
 	}
 	fmt.Printf("coordinator: smoke ok — %d jobs survived a worker crash in %v\n", n, time.Since(start).Round(time.Millisecond))
 	return nil

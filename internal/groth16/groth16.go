@@ -20,7 +20,6 @@ import (
 	"distmsm/internal/ntt"
 	"distmsm/internal/pairing"
 	"distmsm/internal/r1cs"
-	"distmsm/internal/telemetry"
 )
 
 // ProvingKey holds the per-variable evaluated setup elements.
@@ -99,11 +98,11 @@ type G2MSMContextFunc func(ctx context.Context, points []pairing.G2Affine, scala
 type Provers struct {
 	G1Ctx PhasedMSMContextFunc
 	G2Ctx G2MSMContextFunc
-	// Pipeline, when non-nil, makes ProveContextWith execute the
-	// prover's phase DAG instead of its phase list: the quotient (on
-	// parallel coset NTTs) overlaps the four witness-only MSM phases,
-	// and msm-Z starts the moment h lands. Proofs are byte-identical to
-	// the sequential schedule.
+	// Pipeline selects the schedule of the prover's one phase table:
+	// nil runs the phases in order on the calling goroutine; non-nil runs
+	// them as their dependency DAG, where the quotient (on parallel coset
+	// NTTs) overlaps the four witness-only MSM phases and msm-Z starts
+	// the moment h lands. The proof bytes do not depend on the schedule.
 	Pipeline *PipelineOptions
 }
 
@@ -354,36 +353,22 @@ func frNat(fr *field.Field, k field.Element) bigint.Nat {
 	return bigint.FromBig(fr.ToBig(k), fr.Width())
 }
 
-// phaseSpan records one prover phase into the run's tracer. Record is
-// nil-safe, so a context without a tracer costs two time reads and a
-// pointer check per phase — negligible against the ms-scale phases.
-// Every phase passes its own start time and lane: the sequential prover
-// draws all phases on TrackHost (they cannot overlap), the phase-DAG
-// prover gives each phase its own telemetry.TrackPhase lane so
-// concurrent phases never alias each other's start or duration.
-func phaseSpan(tr *telemetry.Tracer, name string, track telemetry.Track, start time.Time) {
-	tr.Record(telemetry.Span{Name: name, Cat: "groth16", Track: track,
-		Start: start, Dur: time.Since(start)})
-}
-
 // ProveContextWith generates a proof for the witness, honouring ctx
 // through the whole pipeline: the witness check, the quotient's coset
 // NTTs (cancellation between butterfly passes), and every G1/G2 MSM
 // phase boundary. A cancelled or deadlined proof returns ctx.Err() —
 // with an expired deadline that is context.DeadlineExceeded from inside
 // the prover itself, independent of whether the MSM backends observe
-// the context.
+// the context. A failing phase returns "groth16: phase <name>: …"
+// wrapping its error.
 //
 // MSM routing is phase-aware: the G1 backend learns which proving-key
 // column each MSM is over (so cached per-column fixed-base tables
 // apply), and the G2 MSM over pk.B2 is routable too. Zero-valued Provers
-// fields select the CPU defaults. With pr.Pipeline set the prover
-// executes its phase DAG (see provePipelined) instead of the sequential
-// phase list.
+// fields select the CPU defaults. The prover is one phase table (see
+// pipeline.go): pr.Pipeline nil runs it in table order on the calling
+// goroutine, pr.Pipeline set runs it as its dependency DAG.
 func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *ProvingKey, witness []field.Element, rnd *rand.Rand, pr Provers) (*Proof, error) {
-	if pr.Pipeline != nil {
-		return e.provePipelined(ctx, cs, pk, witness, rnd, pr, *pr.Pipeline)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -393,97 +378,96 @@ func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *Prov
 	fr := e.Fr
 	msmG1 := e.g1msm(pr)
 	msmG2 := e.g2msm(pr)
-
-	tr := telemetry.FromContext(ctx)
-	t0 := time.Now()
-	h, err := e.quotient(ctx, cs, pk.Domain, witness, 1)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan(tr, "quotient", telemetry.TrackHost, t0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	nttWorkers := 1
+	if pr.Pipeline != nil {
+		nttWorkers = pr.Pipeline.NTTWorkers
 	}
 
+	// The proof randomness is drawn once, r then s, before any phase: no
+	// phase consumes randomness, so every schedule sees the same values.
 	r, s := fr.Rand(rnd), fr.Rand(rnd)
-	scalars := make([]bigint.Nat, len(witness))
-	for i, a := range witness {
-		scalars[i] = frNat(fr, a)
-	}
-
-	adder := e.P.Curve.NewAdder()
-	g2 := e.P.G2
-
-	// A = α + Σ a_i·u_i(τ) + r·δ  (G1)
-	t0 = time.Now()
-	sumA, err := msmG1(ctx, PhaseA, pk.A, scalars)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan(tr, "msm-A", telemetry.TrackHost, t0)
-	accA := e.P.Curve.NewXYZZ()
-	e.P.Curve.SetAffine(accA, &pk.Alpha)
-	adder.Add(accA, sumA)
-	rDelta := adder.ScalarMul(&pk.Delta, frNat(fr, r))
-	adder.Add(accA, rDelta)
-	proofA := e.P.Curve.ToAffine(accA)
-
-	// B = β + Σ a_i·v_i(τ) + s·δ  (G2), plus its G1 mirror.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	wScalars := make([]bigint.Nat, len(witness))
 	big2 := make([]*big.Int, len(witness))
-	for i := range witness {
-		big2[i] = fr.ToBig(witness[i])
+	for i, a := range witness {
+		wScalars[i] = frNat(fr, a)
+		big2[i] = fr.ToBig(a)
 	}
-	t0 = time.Now()
-	sumB2, err := msmG2(ctx, pk.B2, big2)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan(tr, "msm-B2", telemetry.TrackHost, t0)
-	withBeta := g2.Add(&sumB2, &pk.Beta2)
-	sDelta2 := g2.ScalarMulFr(&pk.Delta2, fr, s)
-	proofB := g2.Add(&withBeta, &sDelta2)
+	privScalars := privateScalars(fr, cs, witness, wScalars)
 
-	t0 = time.Now()
-	sumB1, err := msmG1(ctx, PhaseB1, pk.B1, scalars)
-	if err != nil {
+	var (
+		h      []field.Element
+		proofA curve.PointAffine
+		proofB pairing.G2Affine
+		accB1  *curve.PointXYZZ
+		sumK   *curve.PointXYZZ
+		sumH   *curve.PointXYZZ
+	)
+	phases := []phase{
+		{name: "quotient", run: func(ctx context.Context) (err error) {
+			h, err = e.quotient(ctx, cs, pk.Domain, witness, nttWorkers)
+			return err
+		}},
+		// A = α + Σ a_i·u_i(τ) + r·δ  (G1)
+		{name: "msm-A", run: func(ctx context.Context) error {
+			sumA, err := msmG1(ctx, PhaseA, pk.A, wScalars)
+			if err != nil {
+				return err
+			}
+			adder := e.P.Curve.NewAdder()
+			acc := e.P.Curve.NewXYZZ()
+			e.P.Curve.SetAffine(acc, &pk.Alpha)
+			adder.Add(acc, sumA)
+			adder.Add(acc, adder.ScalarMul(&pk.Delta, frNat(fr, r)))
+			proofA = e.P.Curve.ToAffine(acc)
+			return nil
+		}},
+		// B = β + Σ a_i·v_i(τ) + s·δ  (G2)
+		{name: "msm-B2", run: func(ctx context.Context) error {
+			sumB2, err := msmG2(ctx, pk.B2, big2)
+			if err != nil {
+				return err
+			}
+			g2 := e.P.G2
+			withBeta := g2.Add(&sumB2, &pk.Beta2)
+			sDelta2 := g2.ScalarMulFr(&pk.Delta2, fr, s)
+			proofB = g2.Add(&withBeta, &sDelta2)
+			return nil
+		}},
+		// B's G1 mirror: β + Σ a_i·v_i(τ) + s·δ over G1.
+		{name: "msm-B1", run: func(ctx context.Context) error {
+			sumB1, err := msmG1(ctx, PhaseB1, pk.B1, wScalars)
+			if err != nil {
+				return err
+			}
+			adder := e.P.Curve.NewAdder()
+			acc := e.P.Curve.NewXYZZ()
+			e.P.Curve.SetAffine(acc, &pk.Beta)
+			adder.Add(acc, sumB1)
+			adder.Add(acc, adder.ScalarMul(&pk.Delta, frNat(fr, s)))
+			accB1 = acc
+			return nil
+		}},
+		{name: "msm-K", run: func(ctx context.Context) (err error) {
+			sumK, err = msmG1(ctx, PhaseK, pk.K, privScalars)
+			return err
+		}},
+		// The only phase downstream of the quotient.
+		{name: "msm-Z", after: []int{0}, run: func(ctx context.Context) (err error) {
+			sumH, err = msmG1(ctx, PhaseZ, pk.Z, quotientScalars(fr, pk, h))
+			return err
+		}},
+	}
+	if err := runPhases(ctx, phases, pr.Pipeline); err != nil {
 		return nil, err
 	}
-	phaseSpan(tr, "msm-B1", telemetry.TrackHost, t0)
-	accB1 := e.P.Curve.NewXYZZ()
-	e.P.Curve.SetAffine(accB1, &pk.Beta)
-	adder.Add(accB1, sumB1)
-	sDelta1 := adder.ScalarMul(&pk.Delta, frNat(fr, s))
-	adder.Add(accB1, sDelta1)
 
 	// C = Σ_priv a_i·K_i + Σ_j h_j·Z_j + s·A + r·B1 − r·s·δ
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	privScalars := privateScalars(fr, cs, witness, scalars)
-	t0 = time.Now()
-	sumK, err := msmG1(ctx, PhaseK, pk.K, privScalars)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan(tr, "msm-K", telemetry.TrackHost, t0)
-	hScalars := quotientScalars(fr, pk, h)
-	t0 = time.Now()
-	sumH, err := msmG1(ctx, PhaseZ, pk.Z, hScalars)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan(tr, "msm-Z", telemetry.TrackHost, t0)
+	adder := e.P.Curve.NewAdder()
 	accC := sumK
 	adder.Add(accC, sumH)
-	aAff := proofA
-	sA := adder.ScalarMul(&aAff, frNat(fr, s))
-	adder.Add(accC, sA)
+	adder.Add(accC, adder.ScalarMul(&proofA, frNat(fr, s)))
 	b1Aff := e.P.Curve.ToAffine(accB1)
-	rB1 := adder.ScalarMul(&b1Aff, frNat(fr, r))
-	adder.Add(accC, rB1)
+	adder.Add(accC, adder.ScalarMul(&b1Aff, frNat(fr, r)))
 	rs := fr.NewElement()
 	fr.Mul(rs, r, s)
 	rsDelta := adder.ScalarMul(&pk.Delta, frNat(fr, rs))
@@ -524,30 +508,16 @@ func quotientScalars(fr *field.Field, pk *ProvingKey, h []field.Element) []bigin
 // quotient computes the coefficients of h(X) = (a(X)·b(X) − c(X))/t(X)
 // via coset NTTs (t is constant on the coset: g^d − 1). Each of the
 // seven transforms honours ctx between butterfly passes, so a cancel or
-// deadline lands mid-quotient instead of after it. nttWorkers selects
-// the transform implementation: 1 keeps the serial *Context forms (the
-// sequential prover's exact code path), anything else routes through
-// the parallel coset NTTs (0 = GOMAXPROCS), which are bit-identical to
-// the serial transforms.
+// deadline lands mid-quotient instead of after it. nttWorkers is the
+// transforms' width: 1 runs them inline on the calling goroutine (the
+// sequential schedule), anything else fans each pass out across that
+// many workers (0 = GOMAXPROCS). The transform is one body at every
+// width, so h does not depend on it.
 func (e *Engine) quotient(ctx context.Context, cs *r1cs.System, d int, witness []field.Element, nttWorkers int) ([]field.Element, error) {
 	fr := e.Fr
 	dom, err := ntt.NewDomain(fr, d)
 	if err != nil {
 		return nil, err
-	}
-	inverse := dom.InverseContext
-	cosetForward := dom.CosetForwardContext
-	cosetInverse := dom.CosetInverseContext
-	if nttWorkers != 1 {
-		inverse = func(ctx context.Context, a []field.Element) error {
-			return dom.ParallelInverseContext(ctx, a, nttWorkers)
-		}
-		cosetForward = func(ctx context.Context, a []field.Element) error {
-			return dom.ParallelCosetForwardContext(ctx, a, nttWorkers)
-		}
-		cosetInverse = func(ctx context.Context, a []field.Element) error {
-			return dom.ParallelCosetInverseContext(ctx, a, nttWorkers)
-		}
 	}
 	evalA := zeroVec(fr, d)
 	evalB := zeroVec(fr, d)
@@ -559,12 +529,12 @@ func (e *Engine) quotient(ctx context.Context, cs *r1cs.System, d int, witness [
 	}
 	// To coefficients, then onto the coset.
 	for _, v := range [][]field.Element{evalA, evalB, evalC} {
-		if err := inverse(ctx, v); err != nil {
+		if err := dom.ParallelInverseContext(ctx, v, nttWorkers); err != nil {
 			return nil, err
 		}
 	}
 	for _, v := range [][]field.Element{evalA, evalB, evalC} {
-		if err := cosetForward(ctx, v); err != nil {
+		if err := dom.ParallelCosetForwardContext(ctx, v, nttWorkers); err != nil {
 			return nil, err
 		}
 	}
@@ -579,7 +549,7 @@ func (e *Engine) quotient(ctx context.Context, cs *r1cs.System, d int, witness [
 		fr.Sub(tmp, tmp, evalC[j])
 		fr.Mul(evalA[j], tmp, zInv)
 	}
-	if err := cosetInverse(ctx, evalA); err != nil {
+	if err := dom.ParallelCosetInverseContext(ctx, evalA, nttWorkers); err != nil {
 		return nil, err
 	}
 	// h has degree ≤ d−2: the top coefficient must vanish.

@@ -195,11 +195,21 @@ func BenchmarkProve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, Provers{}); err != nil {
-			b.Fatal(err)
-		}
+	// Both schedules of the one phase table.
+	for _, sched := range []struct {
+		name string
+		pr   Provers
+	}{
+		{"sequential", Provers{}},
+		{"pipelined", Provers{Pipeline: &PipelineOptions{}}},
+	} {
+		b.Run(sched.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ProveContextWith(context.Background(), cs, pk, w, rnd, sched.pr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

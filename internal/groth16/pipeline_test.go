@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"distmsm/internal/core"
 	"distmsm/internal/curve"
 	"distmsm/internal/gpusim"
+	"distmsm/internal/msm"
 	"distmsm/internal/pairing"
 	"distmsm/internal/r1cs"
 	"distmsm/internal/telemetry"
@@ -159,7 +161,9 @@ func TestQuotientParallelNTTParity(t *testing.T) {
 // TestPipelinedCancelMidPhase: an external cancel lands while every G1
 // phase is blocked mid-MSM, and the DAG join returns context.Canceled
 // without hanging; a spontaneously failing phase cancels its in-flight
-// siblings and the error comes back annotated with the phase name.
+// siblings and the error comes back annotated with the phase name —
+// under the sequential schedule too, where the phases after the failing
+// one never start.
 func TestPipelinedCancelMidPhase(t *testing.T) {
 	e := newEngine(t)
 	cs, w := r1cs.BuildSynthetic(e.Fr, 60, 5)
@@ -195,29 +199,124 @@ func TestPipelinedCancelMidPhase(t *testing.T) {
 		t.Fatal("cancelled pipelined prove did not return")
 	}
 
-	// (b) First phase error cancels in-flight siblings.
+	// (b) A failing msm-K surfaces annotated under both schedules. Under
+	// the DAG it cancels its in-flight siblings; sequentially, the phases
+	// before it complete and msm-Z never runs.
 	wantErr := errors.New("injected msm-K failure")
-	var siblingCancelled atomic.Bool
-	failing := func(msmCtx context.Context, phase MSMPhase, _ []curve.PointAffine, _ []bigint.Nat) (*curve.PointXYZZ, error) {
-		if phase == PhaseK {
-			return nil, wantErr
+	for _, pipeline := range []*PipelineOptions{nil, {}} {
+		var siblingCancelled, zRan atomic.Bool
+		failing := func(msmCtx context.Context, phase MSMPhase, _ []curve.PointAffine, _ []bigint.Nat) (*curve.PointXYZZ, error) {
+			if phase == PhaseK {
+				return nil, wantErr
+			}
+			if phase == PhaseZ {
+				zRan.Store(true)
+			}
+			if pipeline == nil {
+				return e.P.Curve.NewXYZZ(), nil
+			}
+			// Other phases block until the group context dies: the failure
+			// must cancel running siblings, not just unstarted ones.
+			<-msmCtx.Done()
+			siblingCancelled.Store(true)
+			return nil, msmCtx.Err()
 		}
-		// Other phases block until the group context dies: the failure
-		// must cancel running siblings, not just unstarted ones.
-		<-msmCtx.Done()
-		siblingCancelled.Store(true)
-		return nil, msmCtx.Err()
+		_, err = e.ProveContextWith(context.Background(), cs, pk, w, rand.New(rand.NewSource(2)),
+			Provers{G1Ctx: failing, Pipeline: pipeline})
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("pipelined=%v: want the injected phase error, got %v", pipeline != nil, err)
+		}
+		if !strings.Contains(err.Error(), "msm-K") {
+			t.Fatalf("pipelined=%v: error not annotated with the failing phase: %v", pipeline != nil, err)
+		}
+		if pipeline != nil && !siblingCancelled.Load() {
+			t.Fatal("a failing phase did not cancel its in-flight siblings")
+		}
+		if pipeline == nil && zRan.Load() {
+			t.Fatal("sequential schedule ran msm-Z after msm-K failed")
+		}
 	}
-	_, err = e.ProveContextWith(context.Background(), cs, pk, w, rand.New(rand.NewSource(2)),
-		Provers{G1Ctx: failing, Pipeline: &PipelineOptions{}})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("want the injected phase error, got %v", err)
+}
+
+// TestSequentialSchedule pins the sequential schedule of the phase
+// table: the MSM backends are called one at a time in table order
+// (A, B2, B1, K, Z), and the six phase spans sit on the host lane in
+// table order without overlapping.
+func TestSequentialSchedule(t *testing.T) {
+	e := newEngine(t)
+	cs, w := r1cs.BuildSynthetic(e.Fr, 40, 3)
+	rnd := rand.New(rand.NewSource(8))
+	pk, vk, err := e.SetupContext(context.Background(), cs, rnd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "msm-K") {
-		t.Fatalf("error not annotated with the failing phase: %v", err)
+	var (
+		mu              sync.Mutex
+		calls           []string
+		inFlight, maxIn int
+	)
+	record := func(name string) (done func()) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls = append(calls, name)
+		inFlight++
+		maxIn = max(maxIn, inFlight)
+		return func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}
 	}
-	if !siblingCancelled.Load() {
-		t.Fatal("a failing phase did not cancel its in-flight siblings")
+	pr := Provers{
+		G1Ctx: func(ctx context.Context, phase MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
+			defer record(phase.String())()
+			return msm.MSM(e.P.Curve, points, scalars, msm.Config{Signed: true})
+		},
+		G2Ctx: func(ctx context.Context, points []pairing.G2Affine, scalars []*big.Int) (pairing.G2Affine, error) {
+			defer record("B2")()
+			return e.P.G2.MSMContext(ctx, points, scalars)
+		},
+	}
+	tr := telemetry.NewTracer(0)
+	proof, err := e.ProveContextWith(telemetry.NewContext(context.Background(), tr), cs, pk, w, rnd, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.Verify(vk, proof, w[1:1+cs.NPublic]); err != nil || !ok {
+		t.Fatalf("sequential proof rejected: %v", err)
+	}
+
+	if got, want := strings.Join(calls, ","), "A,B2,B1,K,Z"; got != want {
+		t.Errorf("backend call order %s, want %s", got, want)
+	}
+	if maxIn != 1 {
+		t.Errorf("%d backend calls in flight at once, want 1", maxIn)
+	}
+
+	var spans []telemetry.Span
+	for _, s := range tr.Spans() {
+		if s.Cat == "groth16" {
+			spans = append(spans, s)
+		}
+	}
+	phases := []string{"quotient", "msm-A", "msm-B2", "msm-B1", "msm-K", "msm-Z"}
+	if len(spans) != len(phases) {
+		t.Fatalf("%d groth16 spans, want %d", len(spans), len(phases))
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	for i, s := range spans {
+		if s.Name != phases[i] {
+			t.Errorf("span %d is %q, want %q", i, s.Name, phases[i])
+		}
+		if s.Track != telemetry.TrackHost {
+			t.Errorf("phase %q on lane %d, want the host lane", s.Name, s.Track)
+		}
+		if i > 0 {
+			prev := spans[i-1]
+			if s.Start.Before(prev.Start.Add(prev.Dur)) {
+				t.Errorf("phase %q starts before %q ends", s.Name, prev.Name)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ type Config struct {
 	WindowSize int
 	// Signed enables signed-digit recoding (half the buckets).
 	Signed bool
-	// Workers is the number of goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of goroutines; 0 means GOMAXPROCS. 1 (or
+	// less) runs the same window loop inline on the calling goroutine.
 	Workers int
 }
 
@@ -60,11 +61,7 @@ func MSM(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, cfg C
 				i, k.BitLen(), c.ScalarBits)
 		}
 	}
-	cfg = cfg.resolve(len(points))
-	if cfg.Workers <= 1 {
-		return serialMSM(c, points, scalars, cfg), nil
-	}
-	return parallelMSM(c, points, scalars, cfg), nil
+	return pippenger(c, points, scalars, cfg.resolve(len(points))), nil
 }
 
 // digitsMatrix recodes every scalar; digits[j][i] is point i's digit in
@@ -160,29 +157,27 @@ func reduceWindows(c *curve.Curve, windows []*curve.PointXYZZ, s int, a *curve.A
 	return acc
 }
 
-func serialMSM(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, cfg Config) *curve.PointXYZZ {
+// pippenger sums each window and reduces them. With Workers <= 1 the
+// window loop runs inline on the calling goroutine; otherwise windows
+// are distributed across goroutines (W-dim parallelism), and when there
+// are more workers than windows each window's points are additionally
+// split across workers with private bucket accumulators that are merged
+// afterwards (B-dim parallelism, mirroring the GPU strategy).
+func pippenger(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, cfg Config) *curve.PointXYZZ {
+	digits := digitsMatrix(c, scalars, cfg)
+	windows := make([]*curve.PointXYZZ, len(digits))
 	a := c.NewAdder()
-	digits := digitsMatrix(c, scalars, cfg)
-	windows := make([]*curve.PointXYZZ, len(digits))
-	for j := range digits {
-		windows[j] = windowSum(c, points, digits[j], cfg, a)
+	if cfg.Workers <= 1 {
+		for j := range digits {
+			windows[j] = windowSum(c, points, digits[j], cfg, a)
+		}
+		return reduceWindows(c, windows, cfg.WindowSize, a)
 	}
-	return reduceWindows(c, windows, cfg.WindowSize, a)
-}
-
-// parallelMSM distributes windows across goroutines (W-dim parallelism);
-// when there are more workers than windows, each window's points are
-// additionally split across workers with private bucket accumulators that
-// are merged afterwards (B-dim parallelism, mirroring the GPU strategy).
-func parallelMSM(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat, cfg Config) *curve.PointXYZZ {
-	digits := digitsMatrix(c, scalars, cfg)
-	windows := make([]*curve.PointXYZZ, len(digits))
 
 	perWindow := cfg.Workers / len(digits)
 	if perWindow < 1 {
 		perWindow = 1
 	}
-
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cfg.Workers)
 	for j := range digits {
@@ -192,15 +187,13 @@ func parallelMSM(c *curve.Curve, points []curve.PointAffine, scalars []bigint.Na
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			if perWindow == 1 {
-				a := c.NewAdder()
-				windows[j] = windowSum(c, points, digits[j], cfg, a)
+				windows[j] = windowSum(c, points, digits[j], cfg, c.NewAdder())
 				return
 			}
 			windows[j] = splitWindowSum(c, points, digits[j], cfg, perWindow)
 		}(j)
 	}
 	wg.Wait()
-	a := c.NewAdder()
 	return reduceWindows(c, windows, cfg.WindowSize, a)
 }
 

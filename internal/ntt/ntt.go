@@ -3,6 +3,12 @@
 // proof generation next to MSM (§5.1.1). It provides in-place forward and
 // inverse transforms, coset transforms (needed by the Groth16 quotient
 // polynomial), and polynomial helpers built on them.
+//
+// Every transform runs one body (parallel.go) with a width: the
+// Parallel*Context forms fan each butterfly pass out across that many
+// workers, and the plain *Context forms are the same body at width 1,
+// run inline on the calling goroutine. The output does not depend on the
+// width.
 package ntt
 
 import (
@@ -62,57 +68,33 @@ func NewDomain(f *field.Field, n int) (*Domain, error) {
 }
 
 // ForwardContext computes the in-place NTT of a (natural order in,
-// natural order out): a[j] ← Σ_i a[i]·ω^(ij). It honours ctx between
-// butterfly passes: a size-N transform checks the context log2(N)+1
-// times, so a cancellation or deadline lands within one pass (O(N) work)
-// instead of waiting out the whole transform.
+// natural order out): a[j] ← Σ_i a[i]·ω^(ij), inline on the calling
+// goroutine. It honours ctx between butterfly passes: a size-N transform
+// checks the context log2(N)+1 times, so a cancellation or deadline
+// lands within one pass (O(N) work) instead of waiting out the whole
+// transform.
 func (d *Domain) ForwardContext(ctx context.Context, a []field.Element) error {
-	return d.transform(ctx, a, d.root)
+	return d.ParallelForwardContext(ctx, a, 1)
 }
 
-// InverseContext computes the in-place inverse NTT, honouring ctx
+// InverseContext computes the in-place inverse NTT inline, honouring ctx
 // between butterfly passes (see ForwardContext).
 func (d *Domain) InverseContext(ctx context.Context, a []field.Element) error {
-	if err := d.transform(ctx, a, d.rootInv); err != nil {
-		return err
-	}
-	tmp := d.F.NewElement()
-	for i := range a {
-		d.F.Mul(tmp, a[i], d.nInv)
-		a[i].Set(tmp)
-	}
-	return nil
+	return d.ParallelInverseContext(ctx, a, 1)
 }
 
 // CosetForwardContext evaluates the polynomial on the coset g·⟨ω⟩ — it
-// shifts the coefficients by powers of g, then transforms — honouring
-// ctx between butterfly passes (see ForwardContext).
+// shifts the coefficients by powers of g, then transforms — inline,
+// honouring ctx between butterfly passes (see ForwardContext).
 func (d *Domain) CosetForwardContext(ctx context.Context, a []field.Element) error {
-	d.shift(a, d.gen)
-	return d.ForwardContext(ctx, a)
+	return d.ParallelCosetForwardContext(ctx, a, 1)
 }
 
 // CosetInverseContext interpolates from the coset g·⟨ω⟩ back to
-// coefficients, honouring ctx between butterfly passes (see
+// coefficients inline, honouring ctx between butterfly passes (see
 // ForwardContext).
 func (d *Domain) CosetInverseContext(ctx context.Context, a []field.Element) error {
-	if err := d.InverseContext(ctx, a); err != nil {
-		return err
-	}
-	d.shift(a, d.genInv)
-	return nil
-}
-
-func (d *Domain) shift(a []field.Element, g field.Element) {
-	f := d.F
-	pw := f.One()
-	tmp := f.NewElement()
-	for i := range a {
-		f.Mul(tmp, a[i], pw)
-		a[i].Set(tmp)
-		f.Mul(tmp, pw, g)
-		pw.Set(tmp)
-	}
+	return d.ParallelCosetInverseContext(ctx, a, 1)
 }
 
 // bitReverse applies the bit-reversal permutation to a, whose length is
@@ -124,50 +106,6 @@ func bitReverse(a []field.Element) {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-}
-
-// transform is the iterative radix-2 Cooley–Tukey NTT with the given
-// primitive root. The context is checked before the bit-reversal and
-// between the log2(N) butterfly passes; a cancelled transform leaves the
-// slice in an intermediate state the caller must discard.
-func (d *Domain) transform(ctx context.Context, a []field.Element, omega field.Element) error {
-	n := len(a)
-	if n != d.N {
-		panic(fmt.Sprintf("ntt: input length %d != domain size %d", n, d.N))
-	}
-	if n == 1 {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	f := d.F
-	bitReverse(a)
-	t1, t2 := f.NewElement(), f.NewElement()
-	for size := 2; size <= n; size <<= 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		half := size >> 1
-		// w_size = ω^(N/size)
-		w := omega.Clone()
-		for m := n; m > size; m >>= 1 {
-			f.Square(t1, w)
-			w.Set(t1)
-		}
-		for start := 0; start < n; start += size {
-			tw := f.One()
-			for k := start; k < start+half; k++ {
-				f.Mul(t1, a[k+half], tw)
-				f.Sub(t2, a[k], t1)
-				f.Add(a[k], a[k], t1)
-				a[k+half].Set(t2)
-				f.Mul(t1, tw, w)
-				tw.Set(t1)
-			}
-		}
-	}
-	return nil
 }
 
 // MulPolys multiplies two coefficient vectors via the NTT, returning a

@@ -204,15 +204,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 		mustForward(t, d, serial)
 		for _, workers := range []int{1, 3, 8} {
 			p := cloneVec(v)
-			d.ParallelForward(p, workers)
+			if err := d.ParallelForwardContext(context.Background(), p, workers); err != nil {
+				t.Fatal(err)
+			}
 			for i := range p {
 				if !p[i].Equal(serial[i]) {
 					t.Fatalf("n=%d workers=%d: parallel forward mismatch at %d", n, workers, i)
 				}
 			}
 		}
-		d.ParallelForward(parallel, 4)
-		d.ParallelInverse(parallel, 4)
+		if err := d.ParallelForwardContext(context.Background(), parallel, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ParallelInverseContext(context.Background(), parallel, 4); err != nil {
+			t.Fatal(err)
+		}
 		for i := range v {
 			if !parallel[i].Equal(v[i]) {
 				t.Fatalf("n=%d: parallel round trip failed at %d", n, i)
@@ -234,7 +240,9 @@ func BenchmarkNTTParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d.ParallelForward(v, 0)
+			if err := d.ParallelForwardContext(context.Background(), v, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
