@@ -96,8 +96,11 @@ cluster-smoke:
 outsource-smoke:
 	$(GO) run ./cmd/coordinator -msm-smoke 4
 
+# Runs every example program (the only importers of internal/tensorcore,
+# kzg and transcript).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/scaling
 	$(GO) run ./examples/zkproof
 	$(GO) run ./examples/kzgcommit
+	$(GO) run ./examples/tensorcore

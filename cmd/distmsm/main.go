@@ -184,7 +184,7 @@ func run(ctx context.Context, curveName, device, engine string, n, gpus, window 
 				f.Retries, f.Reassignments, f.SpeculativeLaunches, f.SpeculativeWins,
 				f.VerificationRuns, f.VerificationFailures)
 			if f.DegradedToSerial {
-				fmt.Println("degraded   : every GPU lost, completed on the serial host engine")
+				fmt.Println("degraded   : every GPU lost, completed on the host with faults detached")
 			}
 		}
 	}

@@ -16,10 +16,11 @@
 //
 // MSMContext is the primary entry point: it is cancellable through its
 // context, configured with functional options (WithWindowBits,
-// WithEngine, WithWorkers, ...), and by default runs the concurrent
-// per-GPU engine — one host worker per simulated GPU, with the CPU
-// bucket-reduce of window j overlapped with the bucket-sum of window
-// j+1 (§3.2.3). Failures match the sentinel errors ErrLengthMismatch,
+// WithEngine, ...), and by default runs the concurrent per-GPU engine —
+// one host worker per simulated GPU, with the CPU bucket-reduce of
+// window j overlapped with the bucket-sum of window j+1 (§3.2.3).
+// EngineSerial runs the same execution body at width 1, inline on the
+// caller's goroutine. Failures match the sentinel errors ErrLengthMismatch,
 // ErrScalarTooWide, ErrEmptyInput and ErrNoGPUs via errors.Is.
 //
 // The concurrent engine is fault-tolerant: WithFaultInjection turns on
@@ -28,9 +29,9 @@
 // the scheduler recovers with retries, speculative re-execution, shard
 // reassignment and randomized result verification while keeping the
 // answer bit-identical to the fault-free run. If every GPU is lost the
-// run degrades to the serial host engine (Stats.Faults.DegradedToSerial)
-// unless the fault config forbids it, in which case ErrAllGPUsLost is
-// returned. WithRetryPolicy and WithVerifySampling tune the recovery.
+// plan is re-run on the host with the faults detached
+// (Stats.Faults.DegradedToSerial) unless the fault config forbids it, in
+// which case ErrAllGPUsLost is returned. WithRetryPolicy and WithVerifySampling tune the recovery.
 //
 // The packages under internal/ hold the implementation: finite fields,
 // curves, the CPU Pippenger, the GPU performance model, the DistMSM
@@ -117,7 +118,9 @@ func NewTracer(capacity int) *Tracer { return telemetry.NewTracer(capacity) }
 
 // The execution engines of MSMContext.
 const (
-	// EngineSerial is the serial reference composition.
+	// EngineSerial runs the engine body at width 1: every shard in plan
+	// order on the caller's goroutine, fault injection, verification and
+	// the health registry ignored, no per-GPU stats.
 	EngineSerial = core.EngineSerial
 	// EngineConcurrent runs one worker per simulated GPU and overlaps
 	// the host bucket-reduce with later windows' bucket-sum (§3.2.3).
@@ -147,7 +150,7 @@ var (
 	// ErrEmptyInput reports a zero-length MSM (no points, no scalars).
 	ErrEmptyInput = core.ErrEmptyInput
 	// ErrAllGPUsLost reports that fault injection removed every device
-	// and the fault config forbade degrading to the serial host engine.
+	// and the fault config forbade completing the run on the host.
 	ErrAllGPUsLost = core.ErrAllGPUsLost
 	// ErrVerificationFailed reports a shard whose randomized result
 	// verification kept failing past the execution budget (a corrupted
@@ -169,21 +172,15 @@ func WithWindowBits(s int) Option {
 	return func(o *core.Options) { o.WindowSize = s }
 }
 
-// WithWorkers bounds the host parallelism of the serial engine's
-// bucket-sum (0 = GOMAXPROCS). The concurrent engine is unaffected: it
-// always runs one worker per simulated GPU.
-func WithWorkers(n int) Option {
-	return func(o *core.Options) { o.Workers = n }
-}
-
 // WithSignedDigits toggles signed-digit recoding (on by default; off
 // doubles the bucket count).
 func WithSignedDigits(on bool) Option {
 	return func(o *core.Options) { o.Unsigned = !on }
 }
 
-// WithEngine selects the execution engine. The *Context entry points
-// default to EngineConcurrent.
+// WithEngine selects the width of the execution engine: EngineConcurrent
+// (the *Context entry points' default) runs one worker per simulated
+// GPU, EngineSerial runs the same body inline on the caller's goroutine.
 func WithEngine(e Engine) Option {
 	return func(o *core.Options) { o.Engine = e }
 }

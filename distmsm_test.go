@@ -155,8 +155,7 @@ func TestPublicAPIMSMContext(t *testing.T) {
 	// Functional options compose, and the two engines agree bit-for-bit.
 	ser, err := sys.MSMContext(ctx, c, points, scalars,
 		distmsm.WithWindowBits(9),
-		distmsm.WithEngine(distmsm.EngineSerial),
-		distmsm.WithWorkers(2))
+		distmsm.WithEngine(distmsm.EngineSerial))
 	if err != nil {
 		t.Fatal(err)
 	}

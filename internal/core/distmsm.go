@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"distmsm/internal/bigint"
@@ -29,8 +28,8 @@ var (
 	// with the identity.
 	ErrEmptyInput = errors.New("core: empty input, MSM needs at least one point")
 	// ErrAllGPUsLost is returned by the concurrent engine when fault
-	// injection removes every simulated GPU and the serial-fallback
-	// degradation is disabled.
+	// injection removes every simulated GPU and the host fallback is
+	// disabled.
 	ErrAllGPUsLost = errors.New("core: every simulated GPU was lost")
 	// ErrVerificationFailed is returned when a shard's randomized result
 	// verification keeps rejecting its partial bucket sums even after
@@ -60,8 +59,8 @@ var (
 // BucketSum alone, which made "phase time" exceed wall time on
 // multi-GPU runs and the phases impossible to compare.
 //
-// The serial engine runs bucket-sum windows back to back on the host,
-// so there BucketSumWall equals the summed per-window durations.
+// The serial engine runs its shards back to back on one goroutine, so
+// there BucketSumWall equals BucketSum, the summed shard durations.
 type PhaseTimes struct {
 	Scatter time.Duration
 	// BucketSum is the aggregate bucket-sum busy time over all workers
@@ -122,8 +121,9 @@ type FaultStats struct {
 	// triggers a re-execution).
 	VerificationRuns     int
 	VerificationFailures int
-	// DegradedToSerial reports that every GPU was lost and the run fell
-	// back to the serial host engine.
+	// DegradedToSerial reports that every GPU was lost and the run was
+	// completed on the host: the plan re-run with the fault injector and
+	// health registry detached.
 	DegradedToSerial bool
 }
 
@@ -144,7 +144,8 @@ type Stats struct {
 	// Phase is the cumulative host busy time per phase.
 	Phase PhaseTimes
 	// PerGPU breaks the bucket-sum work down by simulated GPU. It is
-	// populated by the concurrent engine only (nil for the serial one).
+	// populated by the concurrent engine only (nil for the serial one
+	// and for a run completed by the all-GPUs-lost fallback).
 	PerGPU []GPUStats
 	// Faults records the fault-tolerance events of the run (concurrent
 	// engine; zero for a fault-free or serial execution).
@@ -174,8 +175,9 @@ type Result struct {
 //
 // The context is checked at every shard boundary: cancelling it makes
 // RunContext return ctx.Err() promptly without leaking workers.
-// Options.Engine selects the serial reference or the concurrent
-// per-GPU engine; both produce bit-identical points and op counts.
+// Options.Engine selects the width of the one scheduled body — inline
+// on the caller's goroutine, or one worker per simulated GPU; both
+// produce bit-identical points and op counts.
 //
 // A zero-length input is rejected with ErrEmptyInput; mismatched vector
 // lengths with ErrLengthMismatch. With Options.Faults set, a
@@ -235,21 +237,29 @@ func RunContext(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, points 
 }
 
 // execute runs plan on the engine opts selects and attaches the plan's
-// modeled cost to the result.
+// modeled cost to the result. When every simulated GPU is lost mid-run
+// and the fault config allows it, the plan is re-run on the host —
+// throughput degrades, correctness does not.
 func execute(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
 	var res *Result
+	var faults FaultStats
 	var err error
 	switch opts.Engine {
 	case EngineConcurrent:
-		res, err = runConcurrent(ctx, points, scalars, plan, opts)
+		res, faults, err = runScheduled(ctx, points, scalars, plan, opts)
+		if inj := plan.Cluster.Faults; errors.Is(err, ErrAllGPUsLost) && inj != nil && !inj.Config().DisableFallback {
+			res, err = runHost(ctx, points, scalars, plan, opts)
+			faults.DegradedToSerial = true
+		}
 	case EngineSerial:
-		res, err = runSerial(ctx, points, scalars, plan, opts)
+		res, err = runHost(ctx, points, scalars, plan, opts)
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)
 	}
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.Faults = faults
 	res.Cost = plan.EstimateCost()
 	return res, nil
 }
@@ -287,7 +297,7 @@ func newBucketScratch(c *curve.Curve) *bucketScratch {
 
 // sumBucketRange accumulates buckets[lo:hi] into out[lo:hi]: one PACC
 // per referenced point, negating references with negative sign. It is
-// the per-shard kernel both engines share, and it validates the bucket
+// the per-shard kernel of the scheduled body, and it validates the bucket
 // references so a corrupt scatter surfaces as an error instead of a
 // silent wrong answer or panic. The accumulators for the range come
 // from one flat arena (NewXYZZBatch), and scr holds the caller's
@@ -333,52 +343,6 @@ func sumBucketRange(c *curve.Curve, points []curve.PointAffine, buckets [][]int3
 		out[b] = acc
 	}
 	return ops, nil
-}
-
-// sumBuckets accumulates every bucket, in parallel across `workers`
-// host goroutines; the first worker error is propagated. scr carries
-// one reusable scratch per worker (grown on demand) so repeated calls —
-// one per window in the serial engine — reuse the adder registers.
-func sumBuckets(c *curve.Curve, points []curve.PointAffine, buckets [][]int32, workers int, scr *[]*bucketScratch, stats *Stats) ([]*curve.PointXYZZ, error) {
-	out := make([]*curve.PointXYZZ, len(buckets))
-	if workers < 1 {
-		workers = 1
-	}
-	for len(*scr) < workers {
-		*scr = append(*scr, newBucketScratch(c))
-	}
-	chunk := (len(buckets) + workers - 1) / workers
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(buckets) {
-			hi = len(buckets)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		scratch := (*scr)[w]
-		go func(lo, hi int, scratch *bucketScratch) {
-			defer wg.Done()
-			ops, err := sumBucketRange(c, points, buckets, lo, hi, out, scratch)
-			mu.Lock()
-			stats.PACCOps += ops
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(lo, hi, scratch)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }
 
 // reduceBuckets computes Σ i·B_i with the serial running-suffix method

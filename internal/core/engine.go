@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,19 +11,18 @@ import (
 	"distmsm/internal/telemetry"
 )
 
-// defaultWorkers is the host parallelism when Options.Workers is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Engine selects how the functional execution is scheduled on the host.
-// Both engines run the same scatter/sum/reduce phases over the same plan
-// and produce bit-identical points and identical Stats op counts; they
-// differ only in concurrency structure.
+// Both engines run the one scheduled body (runScheduled) over the same
+// plan, so they produce bit-identical points and identical Stats op
+// counts; they differ only in width.
 type Engine int
 
 const (
-	// EngineSerial is the reference composition: windows one after the
-	// other, bucket-sum parallelised over host goroutines, bucket-reduce
-	// after every window has been summed.
+	// EngineSerial is the width-1 schedule: the plan's shards run in plan
+	// order on the caller's goroutine, and each window is bucket-reduced
+	// as soon as its last shard commits. It ignores the fault injector,
+	// shard verification and the health registry, and reports no
+	// per-GPU stats.
 	EngineSerial Engine = iota
 	// EngineConcurrent is the §3.2.2/§3.2.3 structure actually executed:
 	// one worker goroutine per simulated GPU consumes that GPU's
@@ -42,96 +40,6 @@ func (e Engine) String() string {
 		return "concurrent"
 	}
 	return "unknown"
-}
-
-// runSerial is the serial reference engine. The scalar recoding streams
-// one window at a time (a per-scalar carry byte instead of the full
-// digit matrix); cancellation is checked at every window boundary.
-func runSerial(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
-	c := plan.Curve
-	res := &Result{Plan: plan}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	var rec *msm.WindowRecoder
-	if plan.Pre == nil {
-		rec = msm.NewWindowRecoder(scalars, c.ScalarBits, plan.S, plan.Signed)
-	}
-	tr := opts.Tracer
-	bucketAcc := make([][]*curve.PointXYZZ, plan.Windows)
-	var digits []int32
-	var scratches []*bucketScratch // per-worker, reused across windows
-	for j := 0; j < plan.Windows; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var sc *ScatterResult
-		if plan.Pre != nil {
-			// Pre-scattered window (fixed-base evaluation): the scatter —
-			// and its wall time — happened at the transform; only the
-			// op-count stats are folded in here.
-			sc = plan.Pre[j]
-			res.Stats.Scatter.add(sc.Stats)
-		} else {
-			digits = rec.Window(j, digits)
-			t0 := time.Now()
-			var err error
-			sc, err = scatterWindow(plan, digits)
-			if err != nil {
-				return nil, err
-			}
-			dur := time.Since(t0)
-			res.Stats.Scatter.add(sc.Stats)
-			res.Stats.Phase.Scatter += dur
-			if tr != nil {
-				tr.Record(telemetry.Span{Name: "scatter", Cat: "msm", Track: telemetry.TrackHost,
-					Start: t0, Dur: dur, Labeled: true, Window: int32(j)})
-			}
-		}
-
-		t0 := time.Now()
-		var err error
-		bucketAcc[j], err = sumBuckets(c, points, sc.Buckets, workers, &scratches, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		dur := time.Since(t0)
-		// Serially there is no busy/wall distinction: one window's sum at
-		// a time, so both readings are the summed window durations.
-		res.Stats.Phase.BucketSum += dur
-		res.Stats.Phase.BucketSumWall += dur
-		if tr != nil {
-			tr.Record(telemetry.Span{Name: "bucket-sum", Cat: "msm", Track: telemetry.TrackHost,
-				Start: t0, Dur: dur, Labeled: true, Window: int32(j)})
-		}
-	}
-
-	// Phase 3 (§3.2.3, host CPU): bucket-reduce each window with the
-	// serial running-suffix method.
-	adder := c.NewAdder()
-	windowSums := make([]*curve.PointXYZZ, plan.Windows)
-	t0 := time.Now()
-	for j := 0; j < plan.Windows; j++ {
-		var ops uint64
-		var err error
-		w0 := time.Now()
-		windowSums[j], ops, err = reduceBuckets(ctx, c, bucketAcc[j], adder)
-		res.Stats.ReduceOps += ops
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Record(telemetry.Span{Name: "bucket-reduce", Cat: "msm", Track: telemetry.TrackHost,
-				Start: w0, Dur: time.Since(w0), Labeled: true, Window: int32(j)})
-		}
-	}
-	res.Stats.Phase.BucketReduce = time.Since(t0)
-
-	if err := windowReduce(ctx, plan, windowSums, res, tr); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // windowReduce runs phase 4, the final Horner combination of the window
@@ -199,7 +107,7 @@ func (g *group) Wait() error {
 	return g.err
 }
 
-// windowEntry is one in-flight window of the concurrent engine: its
+// windowEntry is one in-flight window of the scheduled body: its
 // scatter result (shared by every GPU working on the window), the
 // shared bucket-accumulator array the shards fill at disjoint ranges,
 // and the count of shards still to finish.
@@ -245,7 +153,7 @@ func newWindowProvider(plan *Plan, scalars []bigint.Nat) *windowProvider {
 
 // acquire returns window j's entry, recoding and scattering windows up
 // to j first if needed. Scatter happens exactly once per window, in
-// window order, so the scatter stats match the serial engine's. The
+// window order, so the scatter stats are the same at every width. The
 // ScatterResult is returned separately, captured under the lock: a
 // speculative or retried execution may outlive the window's release
 // (which drops entry.sc), and must keep using the pointer it acquired.
@@ -306,9 +214,3 @@ func (p *windowProvider) release(j int) bool {
 	delete(p.entries, j)
 	return true
 }
-
-// The concurrent per-GPU engine lives in scheduler.go (runConcurrent /
-// runScheduled): one worker goroutine per simulated GPU pulls
-// (window, bucket-range) shards from the fault-tolerant scheduler, and
-// a reducer goroutine overlaps the host bucket-reduce of completed
-// windows with the bucket-sum of later ones (§3.2.3).

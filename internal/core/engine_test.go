@@ -10,6 +10,7 @@ import (
 
 	"distmsm/internal/bigint"
 	"distmsm/internal/curve"
+	"distmsm/internal/gpusim"
 )
 
 // opCounts extracts the engine-independent op-count fields of Stats.
@@ -150,25 +151,64 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestSumBucketsPropagatesErrors covers the once-dead firstErr: a
-// corrupt bucket reference must surface as an error from every engine
-// path instead of reporting success silently (or panicking).
+// TestSumBucketsPropagatesErrors: a corrupt bucket reference must
+// surface as an error from both schedules of the engine body instead of
+// reporting success silently (or panicking).
 func TestSumBucketsPropagatesErrors(t *testing.T) {
 	c := mustCurve(t, "BN254")
 	points := c.SamplePoints(4, 81)
-	bad := [][]int32{nil, {1, 2}, {99}, {-3}} // ref 99 exceeds the input
-	var stats Stats
-	var scr []*bucketScratch
-	if _, err := sumBuckets(c, points, bad, 4, &scr, &stats); err == nil {
-		t.Fatal("out-of-range bucket reference must error")
+	plan, err := BuildPlan(c, cluster(t, 4), len(points), Options{WindowSize: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	zero := [][]int32{nil, {0}} // ref 0 is never produced by a scatter
-	if _, err := sumBuckets(c, points, zero, 1, &scr, &stats); err == nil {
-		t.Fatal("zero bucket reference must error")
+	for _, ref := range []int32{99, 0} { // 99 exceeds the input; 0 is never scattered
+		bad := *plan
+		bad.Pre = make([]*ScatterResult, plan.Windows)
+		for j := range bad.Pre {
+			buckets := make([][]int32, plan.Buckets)
+			buckets[1] = []int32{1, 2}
+			buckets[plan.Buckets-1] = []int32{ref}
+			bad.Pre[j] = &ScatterResult{Buckets: buckets}
+		}
+		for _, e := range []Engine{EngineSerial, EngineConcurrent} {
+			if _, _, err := runScheduled(context.Background(), points, nil, &bad, Options{Engine: e}); err == nil {
+				t.Fatalf("ref %d %v: bad bucket reference must error", ref, e)
+			}
+		}
 	}
 	// The shared shard kernel reports the same corruption.
+	bad := [][]int32{nil, {1, 2}, {99}, {-3}}
 	if _, err := sumBucketRange(c, points, bad, 0, len(bad), make([]*curve.PointXYZZ, len(bad)), newBucketScratch(c)); err == nil {
 		t.Fatal("sumBucketRange must propagate the error")
+	}
+}
+
+// TestSerialIgnoresFaults: the serial engine runs the plan with the
+// fault injector detached — no device is lost, no result corrupted, no
+// shard verified — so it returns the exact point with zero fault stats
+// and no per-GPU attribution.
+func TestSerialIgnoresFaults(t *testing.T) {
+	c := mustCurve(t, "BN254")
+	const n = 48
+	points := c.SamplePoints(n, 83)
+	scalars := c.SampleScalars(n, 84)
+	want := c.MSMReference(points, scalars)
+	for _, cfg := range []gpusim.FaultConfig{{Seed: 3, DeviceLost: 1}, {Seed: 3, Corrupt: 1}} {
+		cfg := cfg
+		res, err := RunContext(context.Background(), c, cluster(t, 4), points, scalars,
+			Options{WindowSize: 8, Engine: EngineSerial, Faults: &cfg})
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if !c.EqualXYZZ(res.Point, want) {
+			t.Errorf("%+v: serial result differs from MSMReference", cfg)
+		}
+		if res.Stats.Faults != (FaultStats{}) {
+			t.Errorf("%+v: serial run reported fault stats %+v", cfg, res.Stats.Faults)
+		}
+		if len(res.Stats.PerGPU) != 0 {
+			t.Errorf("%+v: serial run reported per-GPU stats", cfg)
+		}
 	}
 }
 

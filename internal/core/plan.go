@@ -32,12 +32,10 @@ type Options struct {
 	SplitNDim bool
 	// Block overrides the scatter thread-block geometry.
 	Block BlockConfig
-	// Workers bounds functional-execution parallelism (0 = GOMAXPROCS).
-	// It applies to the serial engine's bucket-sum fan-out; the
-	// concurrent engine always runs one worker per simulated GPU.
-	Workers int
-	// Engine selects the host execution engine (see Engine). The zero
-	// value is EngineSerial, the reference composition.
+	// Engine selects the width of the one scheduled execution body (see
+	// Engine). The zero value is EngineSerial: the plan's shards run
+	// inline on the caller's goroutine, with faults, verification and
+	// health ignored. EngineConcurrent runs one worker per simulated GPU.
 	Engine Engine
 	// Faults configures deterministic fault injection on the simulated
 	// GPUs (concurrent engine only); nil injects nothing.

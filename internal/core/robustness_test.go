@@ -190,7 +190,7 @@ func TestRunStatsConsistency(t *testing.T) {
 	n := 64
 	points := c.SamplePoints(n, 104)
 	scalars := c.SampleScalars(n, 105)
-	res, err := RunContext(context.Background(), c, cl, points, scalars, Options{WindowSize: 9, Unsigned: true, Workers: 1})
+	res, err := RunContext(context.Background(), c, cl, points, scalars, Options{WindowSize: 9, Unsigned: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -16,12 +15,12 @@ import (
 	"distmsm/internal/telemetry"
 )
 
-// This file is the fault-tolerant shard scheduler of EngineConcurrent.
-// PR 1's engine assumed every simulated GPU completes every
-// (window, bucket-range) shard it is assigned; at DGX scale device loss,
-// transient kernel failures, stragglers and (rarely) corrupted partial
-// results are routine, so the scheduler recovers from all four classes
-// while keeping the final point bit-identical to the fault-free run:
+// This file is core's one MSM execution body: the shard scheduler and
+// runScheduled, which runs it at full width (EngineConcurrent) or inline
+// (EngineSerial). At DGX scale device loss, transient kernel failures,
+// stragglers and (rarely) corrupted partial results are routine, so the
+// full-width schedule recovers from all four classes while keeping the
+// final point bit-identical to the fault-free run:
 //
 //   - transient-error: per-shard retry with capped exponential backoff;
 //   - device-lost: the GPU is marked unhealthy and its remaining shards
@@ -29,13 +28,13 @@ import (
 //   - straggler: a shard in flight past a deadline (a multiple of its
 //     estimated duration) is speculatively re-executed on an idle GPU,
 //     first result wins;
-//   - corrupted-result: a sampled random-linear-combination check
-//     against a recomputed reference rejects wrong partial bucket sums
-//     and re-executes the shard;
-//   - all GPUs lost: the run degrades to the serial host engine.
+//   - corrupted-result: a sampled shard check (VerifyMode) rejects wrong
+//     partial bucket sums and re-executes the shard;
+//   - all GPUs lost: the plan is re-run on the host with the injector
+//     detached (runHost).
 //
-// Without a fault injector the scheduler reduces exactly to PR 1's
-// behavior: each shard runs once, on its assigned GPU, in plan order.
+// Without a fault injector each shard runs once, on its assigned GPU, in
+// plan order.
 
 // RetryPolicy tunes the fault-tolerant concurrent scheduler. The zero
 // value selects the documented defaults.
@@ -928,35 +927,45 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// runConcurrent executes the plan on the fault-tolerant scheduler. When
-// every simulated GPU is lost mid-run and the configuration allows it,
-// the run degrades to the serial host engine over the same inputs —
-// throughput degrades, correctness does not.
-func runConcurrent(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
-	res, faults, err := runScheduled(ctx, points, scalars, plan, opts)
-	if err == nil {
-		res.Stats.Faults = faults
-		return res, nil
+// runHost runs the plan through runScheduled on a cluster copy with the
+// fault injector and the health registry detached and shard
+// verification off, and reports no per-GPU stats. Under EngineSerial it
+// is the serial engine; under EngineConcurrent it is the all-GPUs-lost
+// fallback, at full width.
+func runHost(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
+	host := *plan
+	host.Cluster = plan.Cluster.WithFaults(nil).WithHealth(nil)
+	opts.VerifySampling = 0 // with no injector: never verify
+	res, _, err := runScheduled(ctx, points, scalars, &host, opts)
+	if err != nil {
+		return nil, err
 	}
-	if errors.Is(err, ErrAllGPUsLost) {
-		if inj := plan.Cluster.Faults; inj != nil && !inj.Config().DisableFallback {
-			sres, serr := runSerial(ctx, points, scalars, plan, opts)
-			if serr != nil {
-				return nil, serr
-			}
-			faults.DegradedToSerial = true
-			sres.Stats.Faults = faults
-			return sres, nil
-		}
-	}
-	return nil, err
+	res.Plan = plan
+	res.Stats.PerGPU = nil
+	return res, nil
 }
 
-// runScheduled is the concurrent engine body: one worker goroutine per
-// simulated GPU pulls shards from the scheduler, and a host reducer
-// goroutine bucket-reduces each window as soon as its last shard
-// commits — overlapping the reduce of window j with the bucket-sum of
-// window j+1 (§3.2.3). Cancellation is honoured at shard boundaries, at
+// runNext pulls GPU g's next shard from the scheduler and executes it.
+// It reports false when g has nothing left to run.
+func (e *concExec) runNext(ctx context.Context, g int, st *GPUStats, ws *workerScratch) (bool, error) {
+	t, seq, spec, err := e.sched.next(ctx, g)
+	if err != nil {
+		return false, err
+	}
+	if t == nil {
+		// Finished, lost, or a fatal error elsewhere.
+		return false, e.sched.fatalErr()
+	}
+	return true, e.execute(ctx, g, t, seq, spec, st, ws)
+}
+
+// runScheduled is the one engine body; opts.Engine picks its width.
+// EngineConcurrent runs one worker goroutine per simulated GPU pulling
+// shards from the scheduler, and a host reducer goroutine that
+// bucket-reduces each window as soon as its last shard commits —
+// overlapping the reduce of window j with the bucket-sum of window j+1
+// (§3.2.3). EngineSerial runs the same shards in plan order on the
+// caller's goroutine. Cancellation is honoured at shard boundaries, at
 // backoff/speculation waits, and every few hundred buckets inside the
 // reduce itself.
 func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, FaultStats, error) {
@@ -973,43 +982,76 @@ func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []big
 	}
 
 	windowSums := make([]*curve.PointXYZZ, plan.Windows)
-	reduceCh := make(chan doneWindow, plan.Windows)
-	exec := &concExec{c: c, plan: plan, points: points, prov: prov, sched: sched, reduceCh: reduceCh, tr: opts.Tracer}
-
-	grp, gctx := newGroup(ctx)
-
-	// The waker unblocks workers parked in next() so backoff expiries,
-	// speculation deadlines and cancellation are all observed promptly.
-	// Only a run that can fail or straggle a shard parks workers at all
-	// (see next); every other run is spared the timer and its wake-ups.
-	if sched.timed() {
-		tickDone := make(chan struct{})
-		var tickWG sync.WaitGroup
-		tickWG.Add(1)
-		go func() {
-			defer tickWG.Done()
-			tick := time.NewTicker(500 * time.Microsecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tickDone:
-					return
-				case <-tick.C:
-					sched.wake()
-				}
-			}
-		}()
-		defer func() {
-			close(tickDone)
-			tickWG.Wait()
-		}()
+	exec := &concExec{c: c, plan: plan, points: points, prov: prov, sched: sched,
+		reduceCh: make(chan doneWindow, plan.Windows), tr: opts.Tracer}
+	adder := c.NewAdder()
+	reduce := func(ctx context.Context, d doneWindow) error {
+		t0 := time.Now()
+		pt, ops, err := reduceBuckets(ctx, c, d.acc, adder)
+		dur := time.Since(t0)
+		res.Stats.Phase.BucketReduce += dur
+		res.Stats.ReduceOps += ops
+		if err != nil {
+			return err
+		}
+		if tr := opts.Tracer; tr != nil {
+			tr.Record(telemetry.Span{Name: "bucket-reduce", Cat: "msm", Track: telemetry.TrackHost,
+				Start: t0, Dur: dur, Labeled: true, Window: int32(d.j)})
+		}
+		windowSums[d.j] = pt
+		return nil
+	}
+	run := exec.runWorkers
+	if opts.Engine == EngineSerial {
+		run = exec.runInline
+	}
+	if err := run(ctx, res, reduce); err != nil {
+		return nil, sched.snapshot(), err
 	}
 
+	res.Stats.Scatter = prov.stats
+	res.Stats.Phase.Scatter = prov.scatterTime
+	if err := windowReduce(ctx, plan, windowSums, res, opts.Tracer); err != nil {
+		return nil, sched.snapshot(), err
+	}
+	return res, sched.snapshot(), nil
+}
+
+// runInline is the width-1 schedule: no worker, reducer or ticker
+// goroutines; each window is reduced as soon as its last shard commits.
+// Its bucket-sum wall time is its busy time, and it reports no per-GPU
+// stats.
+func (e *concExec) runInline(ctx context.Context, res *Result, reduce func(context.Context, doneWindow) error) error {
+	var st GPUStats
+	ws := e.newWorkerScratch()
+	for _, a := range e.plan.Assignments {
+		// Queues hold each GPU's shards in plan order, so a.GPU's next
+		// shard is a itself.
+		if _, err := e.runNext(ctx, a.GPU, &st, ws); err != nil {
+			return err
+		}
+		select {
+		case d := <-e.reduceCh:
+			if err := reduce(ctx, d); err != nil {
+				return err
+			}
+		default:
+		}
+	}
+	res.Stats.PACCOps = st.PACCOps
+	res.Stats.Phase.BucketSum = st.Busy
+	res.Stats.Phase.BucketSumWall = st.Busy
+	return nil
+}
+
+// runWorkers is the full-width schedule: one worker goroutine per
+// simulated GPU and one reducer goroutine, under one error group.
+func (e *concExec) runWorkers(ctx context.Context, res *Result, reduce func(context.Context, doneWindow) error) error {
+	sched := e.sched
+	grp, gctx := newGroup(ctx)
 	var (
-		statsMu   sync.Mutex
-		workerWG  sync.WaitGroup
-		reduceOps uint64
-		reduceDur time.Duration
+		statsMu  sync.Mutex
+		workerWG sync.WaitGroup
 	)
 	res.Stats.PerGPU = make([]GPUStats, len(sched.gpus))
 	for slot, g := range sched.gpus {
@@ -1018,7 +1060,7 @@ func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []big
 		grp.Go(func() error {
 			defer workerWG.Done()
 			st := GPUStats{GPU: g}
-			ws := exec.newWorkerScratch()
+			ws := e.newWorkerScratch()
 			defer func() {
 				statsMu.Lock()
 				res.Stats.PerGPU[slot] = st
@@ -1027,54 +1069,48 @@ func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []big
 				statsMu.Unlock()
 			}()
 			for {
-				t, seq, spec, err := sched.next(gctx, g)
-				if err != nil {
-					return err
-				}
-				if t == nil {
-					// Finished, lost, or a fatal error elsewhere.
-					return sched.fatalErr()
-				}
-				if err := exec.execute(gctx, g, t, seq, spec, &st, ws); err != nil {
+				if ok, err := e.runNext(gctx, g, &st, ws); !ok || err != nil {
 					return err
 				}
 			}
 		})
 	}
+	workersDone := make(chan struct{})
 	go func() {
 		workerWG.Wait()
-		close(reduceCh)
+		close(workersDone)
+		close(e.reduceCh)
 	}()
+	// The waker unblocks workers parked in next() so backoff expiries,
+	// speculation deadlines and cancellation are all observed promptly;
+	// it stops with the last worker. Only a run that can fail or straggle
+	// a shard parks workers at all (see next); every other run is spared
+	// the timer and its wake-ups.
+	if sched.timed() {
+		grp.Go(func() error {
+			tick := time.NewTicker(500 * time.Microsecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-workersDone:
+					return nil
+				case <-tick.C:
+					sched.wake()
+				}
+			}
+		})
+	}
 	grp.Go(func() error {
-		adder := c.NewAdder()
-		for d := range reduceCh {
-			t0 := time.Now()
-			pt, ops, err := reduceBuckets(gctx, c, d.acc, adder)
-			dur := time.Since(t0)
-			reduceDur += dur
-			reduceOps += ops
-			if err != nil {
+		for d := range e.reduceCh {
+			if err := reduce(gctx, d); err != nil {
 				return err
 			}
-			if tr := opts.Tracer; tr != nil {
-				tr.Record(telemetry.Span{Name: "bucket-reduce", Cat: "msm", Track: telemetry.TrackHost,
-					Start: t0, Dur: dur, Labeled: true, Window: int32(d.j)})
-			}
-			windowSums[d.j] = pt
 		}
 		return nil
 	})
 	if err := grp.Wait(); err != nil {
-		return nil, sched.snapshot(), err
+		return err
 	}
-
-	res.Stats.Scatter = prov.stats
-	res.Stats.Phase.Scatter = prov.scatterTime
-	res.Stats.ReduceOps = reduceOps
-	res.Stats.Phase.BucketReduce = reduceDur
 	res.Stats.Phase.BucketSumWall = sched.bucketSumWall()
-	if err := windowReduce(ctx, plan, windowSums, res, opts.Tracer); err != nil {
-		return nil, sched.snapshot(), err
-	}
-	return res, sched.snapshot(), nil
+	return nil
 }

@@ -84,7 +84,8 @@ type FaultConfig struct {
 	// shard (default 32 when zero).
 	StragglerFactor float64
 	// DisableFallback surfaces ErrAllGPUsLost from the engine instead of
-	// degrading to the serial host engine when every GPU is lost.
+	// re-running the plan on the host, faults detached, when every GPU
+	// is lost.
 	DisableFallback bool
 }
 

@@ -394,6 +394,17 @@ func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *Prov
 	}
 	privScalars := privateScalars(fr, cs, witness, wScalars)
 
+	// plusDelta returns base + sum + k·δ in G1: the shape of A (α, r)
+	// and of B's G1 mirror (β, s).
+	plusDelta := func(base *curve.PointAffine, sum *curve.PointXYZZ, k field.Element) *curve.PointXYZZ {
+		adder := e.P.Curve.NewAdder()
+		acc := e.P.Curve.NewXYZZ()
+		e.P.Curve.SetAffine(acc, base)
+		adder.Add(acc, sum)
+		adder.Add(acc, adder.ScalarMul(&pk.Delta, frNat(fr, k)))
+		return acc
+	}
+
 	var (
 		h      []field.Element
 		proofA curve.PointAffine
@@ -413,12 +424,7 @@ func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *Prov
 			if err != nil {
 				return err
 			}
-			adder := e.P.Curve.NewAdder()
-			acc := e.P.Curve.NewXYZZ()
-			e.P.Curve.SetAffine(acc, &pk.Alpha)
-			adder.Add(acc, sumA)
-			adder.Add(acc, adder.ScalarMul(&pk.Delta, frNat(fr, r)))
-			proofA = e.P.Curve.ToAffine(acc)
+			proofA = e.P.Curve.ToAffine(plusDelta(&pk.Alpha, sumA, r))
 			return nil
 		}},
 		// B = β + Σ a_i·v_i(τ) + s·δ  (G2)
@@ -439,12 +445,7 @@ func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *Prov
 			if err != nil {
 				return err
 			}
-			adder := e.P.Curve.NewAdder()
-			acc := e.P.Curve.NewXYZZ()
-			e.P.Curve.SetAffine(acc, &pk.Beta)
-			adder.Add(acc, sumB1)
-			adder.Add(acc, adder.ScalarMul(&pk.Delta, frNat(fr, s)))
-			accB1 = acc
+			accB1 = plusDelta(&pk.Beta, sumB1, s)
 			return nil
 		}},
 		{name: "msm-K", run: func(ctx context.Context) (err error) {

@@ -223,9 +223,6 @@ type Config struct {
 	Faults *gpusim.FaultConfig
 	// Retry tunes the MSM scheduler's fault handling.
 	Retry core.RetryPolicy
-	// VerifySampling is forwarded to the MSM scheduler (see
-	// core.Options.VerifySampling).
-	VerifySampling float64
 	// WindowSize pins the MSM window size; 0 lets the planner choose.
 	WindowSize int
 	// DisableBaseCache turns off the resident fixed-base tables:
@@ -1273,18 +1270,17 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 
 // msmOptions is the one core.Options set every G1 MSM of the service
 // runs under — a proof's key-column phases and /v1/msm shards alike — so
-// the configured fault injection, retry policy, verification sampling
-// and the request's tracer cover both. fb, when non-nil, routes the run
-// through resident fixed-base tables.
+// the configured fault injection, retry policy and the request's tracer
+// cover both. fb, when non-nil, routes the run through resident
+// fixed-base tables.
 func (s *Service) msmOptions(ctx context.Context, fb *core.FixedBase) core.Options {
 	return core.Options{
-		WindowSize:     s.cfg.WindowSize,
-		Engine:         core.EngineConcurrent,
-		Faults:         s.cfg.Faults,
-		Retry:          s.cfg.Retry,
-		VerifySampling: s.cfg.VerifySampling,
-		Tracer:         telemetry.FromContext(ctx),
-		FixedBase:      fb,
+		WindowSize: s.cfg.WindowSize,
+		Engine:     core.EngineConcurrent,
+		Faults:     s.cfg.Faults,
+		Retry:      s.cfg.Retry,
+		Tracer:     telemetry.FromContext(ctx),
+		FixedBase:  fb,
 	}
 }
 
