@@ -49,8 +49,8 @@ bench-smoke:
 # Short differential-fuzz pass over the unrolled Montgomery kernels,
 # binary-GCD inversion (vs Fermat), the value-typed pairing tower (vs a
 # math/big Fp2), the service's wire-format parser, the /v1/msm shard
-# evaluation (engine + resident tables vs the double-and-add reference)
-# and the proof/VK decoders.
+# evaluation (engine + resident tables vs the double-and-add reference),
+# the proof/VK decoders and Groth16 Verify (vs the Tate-pairing oracle).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMul4Parity -fuzztime=10s ./internal/bigint
 	$(GO) test -run=^$$ -fuzz=FuzzMul6Parity -fuzztime=10s ./internal/bigint
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRequest -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzMSMShardParity -fuzztime=10s ./internal/service
 	$(GO) test -run=^$$ -fuzz=FuzzProofRoundTrip -fuzztime=10s ./internal/groth16
+	$(GO) test -run=^$$ -fuzz=FuzzVerifyParity -fuzztime=10s ./internal/groth16
 	$(GO) test -run=^$$ -fuzz=FuzzClusterWire -fuzztime=10s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzOutsourceWire -fuzztime=10s ./internal/cluster
 

@@ -517,6 +517,38 @@ func runSelfHosted(name string, o serverOpts, mix []mixEntry, rate float64, dur 
 	return rep, nil
 }
 
+// measureServiceTimes runs, on a server of its own configured as o,
+// one untimed and smokeWarmups timed jobs of each mix circuit one at a
+// time, and returns each circuit's mean latency: its service time on
+// an idle server.
+func measureServiceTimes(o serverOpts, mix []mixEntry, seed int64) (map[string]time.Duration, error) {
+	target, stop, err := startServer(context.Background(), o, mix)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	out := map[string]time.Duration{}
+	for _, e := range mix {
+		e.TimeoutMS = time.Minute.Milliseconds()
+		agg := &circuitAgg{hist: telemetry.NewRegistry().Histogram("loadgen_warmup_seconds", "", "", latencyBuckets())}
+		var total time.Duration
+		for i := 0; i <= smokeWarmups; i++ {
+			start := time.Now()
+			fire(client, target, e, seed+int64(i), agg)
+			if i > 0 {
+				total += time.Since(start)
+			}
+		}
+		if agg.rep.OK != smokeWarmups+1 {
+			return nil, fmt.Errorf("warm-up of %s: %d of %d jobs proved", e.Name, agg.rep.OK, smokeWarmups+1)
+		}
+		out[e.Name] = total / smokeWarmups
+	}
+	return out, nil
+}
+
 // report is the full JSON document (-out).
 type report struct {
 	Tool      string            `json:"tool"`
@@ -579,6 +611,17 @@ func tunedOpts(base serverOpts) serverOpts {
 	return base
 }
 
+// The smoke's load is derived from the service it runs against, so it
+// overloads that service however fast proving gets: the offered rate is
+// smokeOverload times the measured capacity (workers ÷ the mix-weighted
+// mean service time), and the doomed circuit's deadline is
+// smokeDoomedFraction of its own measured prove time.
+const (
+	smokeWarmups        = 3   // timed warm-up jobs per circuit, after one untimed
+	smokeOverload       = 1.5 // offered rate ÷ measured capacity
+	smokeDoomedFraction = 0.5 // doomed deadline ÷ its measured prove time
+)
+
 // runSmoke is the CI gate: a miniature adversarial run. It fails
 // unless (a) the interactive p999 was recorded under the tuned policy,
 // (b) nothing failed unexpectedly (transport or 5xx), and (c) the EDF
@@ -588,18 +631,36 @@ func tunedOpts(base serverOpts) serverOpts {
 func runSmoke(o runOpts) error {
 	base := o.srv
 	base.gpus, base.workers, base.queue = 4, 2, 8
-	// Deliberately loaded, plus a trickle circuit whose deadline sits
-	// below its own prove time (a 192-constraint prove takes ~170 ms on
-	// a 2-core host) — every one of its queued jobs is provably doomed
+	srv := tunedOpts(base)
+	// Overloaded, plus a trickle circuit whose deadline sits below its
+	// own prove time — every one of its queued jobs is provably doomed
 	// (expired at dequeue under load, out of budget at a phase boundary
 	// otherwise), so the smoke sees the shed path fire rather than
 	// passing on an idle system.
 	mix := []mixEntry{
 		{Name: "batch-heavy", Weight: 6, TimeoutMS: 1400, Constraints: 192},
 		{Name: "interactive", Weight: 1, TimeoutMS: 1000, Constraints: 48},
-		{Name: "doomed", Weight: 1, TimeoutMS: 100, Constraints: 192},
+		{Name: "doomed", Weight: 1, Constraints: 192}, // deadline derived below
 	}
-	tuned, err := runSelfHosted("smoke-tuned", tunedOpts(base), mix, 12, 8*time.Second, o.seed)
+	serviceTimes, err := measureServiceTimes(srv, mix, o.seed)
+	if err != nil {
+		return err
+	}
+	var mean, weights float64
+	for _, e := range mix {
+		mean += e.Weight * serviceTimes[e.Name].Seconds()
+		weights += e.Weight
+	}
+	mean /= weights
+	capacity := float64(srv.workers) / mean
+	rate := smokeOverload * capacity
+	doomed := &mix[len(mix)-1]
+	doomed.TimeoutMS = max(1, int64(smokeDoomedFraction*float64(serviceTimes[doomed.Name].Milliseconds())))
+	fmt.Printf("smoke load: mean service %.1fms, capacity %.1f jobs/s over %d workers, offered %.1f jobs/s (×%.1f); doomed deadline %dms (prove %.1fms × %.1f)\n",
+		mean*1000, capacity, srv.workers, rate, smokeOverload,
+		doomed.TimeoutMS, serviceTimes[doomed.Name].Seconds()*1000, smokeDoomedFraction)
+
+	tuned, err := runSelfHosted("smoke-tuned", srv, mix, rate, 8*time.Second, o.seed)
 	if err != nil {
 		return err
 	}

@@ -44,6 +44,37 @@ type VerifyingKey struct {
 	// IC[i] = ((βu_i+αv_i+w_i)/γ)·G1 for the constant one and each
 	// public input.
 	IC []curve.PointAffine
+
+	// alphaBeta caches e(α, β), the one proof-independent factor of the
+	// verification equation. SetupContext and UnmarshalVerifyingKey fill
+	// it; it is never encoded, and Verify never writes it, so a key
+	// shared by concurrent verifiers is read-only. A key built any other
+	// way, or whose Alpha or Beta2 changed since, pays the pairing in
+	// every Verify.
+	alphaBeta *alphaBetaCache
+}
+
+// alphaBetaCache is e(α, β) together with the α and β it was computed
+// from.
+type alphaBetaCache struct {
+	alpha curve.PointAffine
+	beta2 pairing.G2Affine
+	gt    pairing.E12
+}
+
+// cacheAlphaBeta fills vk's e(α, β) cache.
+func (e *Engine) cacheAlphaBeta(vk *VerifyingKey) {
+	alpha := curve.PointAffine{X: vk.Alpha.X.Clone(), Y: vk.Alpha.Y.Clone(), Inf: vk.Alpha.Inf}
+	vk.alphaBeta = &alphaBetaCache{alpha: alpha, beta2: vk.Beta2, gt: e.P.Pair(&alpha, &vk.Beta2)}
+}
+
+// alphaBeta returns e(α, β) for vk: the cached value when it was
+// computed from vk's current α and β, else a fresh pairing.
+func (e *Engine) alphaBeta(vk *VerifyingKey) pairing.E12 {
+	if c := vk.alphaBeta; c != nil && c.beta2 == vk.Beta2 && e.P.Curve.EqualAffine(&c.alpha, &vk.Alpha) {
+		return c.gt
+	}
+	return e.P.Pair(&vk.Alpha, &vk.Beta2)
 }
 
 // Proof is the three-element Groth16 proof (~256 bytes over BN254).
@@ -345,6 +376,7 @@ func (e *Engine) SetupContext(ctx context.Context, cs *r1cs.System, rnd *rand.Ra
 		fr.Mul(tmp, pw, tau)
 		pw.Set(tmp)
 	}
+	e.cacheAlphaBeta(vk)
 	return pk, vk, nil
 }
 
@@ -560,31 +592,42 @@ func (e *Engine) quotient(ctx context.Context, cs *r1cs.System, d int, witness [
 	return evalA[:d-1], nil
 }
 
-// Verify checks the proof against the public inputs (without the leading
-// constant one).
-func (e *Engine) Verify(vk *VerifyingKey, proof *Proof, public []field.Element) (bool, error) {
+// publicCommitment returns IC[0] + Σ x_i·IC[i+1] over the public inputs
+// (without the leading constant one).
+func (e *Engine) publicCommitment(vk *VerifyingKey, public []field.Element) (curve.PointAffine, error) {
 	if len(public)+1 != len(vk.IC) {
-		return false, fmt.Errorf("groth16: %d public inputs, key expects %d", len(public), len(vk.IC)-1)
+		return curve.PointAffine{}, fmt.Errorf("groth16: %d public inputs, key expects %d", len(public), len(vk.IC)-1)
 	}
-	fr := e.Fr
 	adder := e.P.Curve.NewAdder()
 	acc := e.P.Curve.NewXYZZ()
 	e.P.Curve.SetAffine(acc, &vk.IC[0])
 	for i, x := range public {
-		term := adder.ScalarMul(&vk.IC[i+1], frNat(fr, x))
+		term := adder.ScalarMul(&vk.IC[i+1], frNat(e.Fr, x))
 		adder.Add(acc, term)
 	}
-	ic := e.P.Curve.ToAffine(acc)
+	return e.P.Curve.ToAffine(acc), nil
+}
 
-	// e(−A, B)·e(α, β)·e(IC, γ)·e(C, δ) == 1
+// Verify checks the proof against the public inputs (without the leading
+// constant one).
+func (e *Engine) Verify(vk *VerifyingKey, proof *Proof, public []field.Element) (bool, error) {
+	ic, err := e.publicCommitment(vk, public)
+	if err != nil {
+		return false, err
+	}
+
+	// e(−A, B)·e(IC, γ)·e(C, δ)·e(α, β) == 1: three pairs in one Miller
+	// loop, times the key's cached e(α, β).
 	negA := curve.PointAffine{X: proof.A.X.Clone(), Y: proof.A.Y.Clone(), Inf: proof.A.Inf}
 	e.P.Curve.NegAffine(&negA)
 	out, err := e.P.PairingProduct(
-		[]curve.PointAffine{negA, vk.Alpha, ic, proof.C},
-		[]pairing.G2Affine{proof.B, vk.Beta2, vk.Gamma2, vk.Delta2},
+		[]curve.PointAffine{negA, ic, proof.C},
+		[]pairing.G2Affine{proof.B, vk.Gamma2, vk.Delta2},
 	)
 	if err != nil {
 		return false, err
 	}
+	ab := e.alphaBeta(vk)
+	e.P.T.E12Mul(&out, &out, &ab)
 	return e.P.T.E12IsOne(&out), nil
 }

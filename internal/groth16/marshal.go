@@ -167,5 +167,6 @@ func (e *Engine) UnmarshalVerifyingKey(b []byte) (*VerifyingKey, error) {
 		}
 		off += g1
 	}
+	e.cacheAlphaBeta(vk)
 	return vk, nil
 }

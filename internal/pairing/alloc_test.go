@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"distmsm/internal/curve"
 )
 
 // TestTowerAllocFree pins the value-typed tower: every E2/E12 operation,
@@ -23,6 +25,9 @@ func TestTowerAllocFree(t *testing.T) {
 	var z2 E2
 	var z12, f E12
 	var acc G2Jacobian
+	ps := []curve.PointAffine{e.Curve.Gen, e.Curve.Gen, e.Curve.Gen}
+	qs := []G2Affine{q, g2.Gen, q}
+	cyc := cyclotomic(e, &x12)
 	cases := []struct {
 		op string
 		fn func()
@@ -35,6 +40,10 @@ func TestTowerAllocFree(t *testing.T) {
 		{"Double", func() { acc = jac; g2.Double(&acc) }},
 		{"MillerLoop", func() { f = e.MillerLoop(&e.Curve.Gen, &q) }},
 		{"FinalExponentiation", func() { z12 = e.FinalExponentiation(&f) }},
+		{"multiMillerLoop", func() { f = e.millerLoop(ps, qs) }},
+		{"FrobeniusP", func() { e.FrobeniusP(&z12, &x12) }},
+		{"cyclotomicSquare", func() { tw.cyclotomicSquare(&z12, &cyc) }},
+		{"hardPart", func() { e.hardPart(&z12, &cyc) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(5, tc.fn); allocs != 0 {

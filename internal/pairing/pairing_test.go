@@ -383,3 +383,103 @@ func TestFrobeniusP2IsHomomorphism(t *testing.T) {
 		t.Fatal("FrobeniusP2 != x^(p^2)")
 	}
 }
+
+// TestMultiMillerLoopMatchesProduct: one shared loop over k pairs,
+// after the final exponentiation, equals the product of the one-pair
+// pairings, with pairs at infinity skipped (and k + 2 > 4 pairs taking
+// the loop's heap path).
+func TestMultiMillerLoopMatchesProduct(t *testing.T) {
+	e := engine(t)
+	tw := e.T
+	adder := e.Curve.NewAdder()
+	w := (e.Curve.ScalarBits + 63) / 64
+	var ps []curve.PointAffine
+	var qs []G2Affine
+	for k := 1; k <= 4; k++ {
+		a, b := big.NewInt(int64(1000*k+7)), big.NewInt(int64(31*k+5))
+		ps = append(ps, e.Curve.ToAffine(adder.ScalarMul(&e.Curve.Gen, natFromBig(a, w))))
+		qs = append(qs, e.G2.ScalarMul(&e.G2.Gen, b))
+
+		want := tw.E12One()
+		for i := range ps {
+			v := e.Pair(&ps[i], &qs[i])
+			tw.E12Mul(&want, &want, &v)
+		}
+		withInf := append([]curve.PointAffine{{Inf: true}, ps[0]}, ps...)
+		withInfQ := append([]G2Affine{e.G2.Gen, {Inf: true}}, qs...)
+		for _, in := range []struct {
+			ps []curve.PointAffine
+			qs []G2Affine
+		}{{ps, qs}, {withInf, withInfQ}} {
+			f := e.millerLoop(in.ps, in.qs)
+			if got := e.FinalExponentiation(&f); got != want {
+				t.Fatalf("k=%d (%d pairs given): FE(multi-Miller loop) != Π e(P_i, Q_i)", k, len(in.ps))
+			}
+		}
+	}
+}
+
+// TestMulBy034MatchesMul pins the sparse line product to the dense one.
+func TestMulBy034MatchesMul(t *testing.T) {
+	e := engine(t)
+	tw := e.T
+	rnd := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 20; iter++ {
+		f := randE12(e, rnd)
+		c0, c3, c4 := randE2(e, rnd), randE2(e, rnd), randE2(e, rnd)
+		line := E12{D0: E6{C0: c0}, D1: E6{C0: c3, C1: c4}}
+		var want E12
+		tw.E12Mul(&want, &f, &line)
+		tw.mulBy034(&f, &c0, &c3, &c4)
+		if f != want {
+			t.Fatal("mulBy034 != E12Mul by the dense line")
+		}
+	}
+}
+
+// cyclotomic maps x into the cyclotomic subgroup by the easy part of
+// the final exponentiation, x^((p⁶−1)(p²+1)).
+func cyclotomic(e *Pairing, x *E12) E12 {
+	tw := e.T
+	var inv, y, z E12
+	tw.E12Inv(&inv, x)
+	tw.E12Conjugate(&y, x)
+	tw.E12Mul(&y, &y, &inv)
+	e.FrobeniusP2(&z, &y)
+	tw.E12Mul(&z, &z, &y)
+	return z
+}
+
+func TestCyclotomicSquareMatchesSquare(t *testing.T) {
+	e := engine(t)
+	tw := e.T
+	rnd := rand.New(rand.NewSource(14))
+	for iter := 0; iter < 20; iter++ {
+		x0 := randE12(e, rnd)
+		x := cyclotomic(e, &x0)
+		var want E12
+		tw.E12Square(&want, &x)
+		tw.cyclotomicSquare(&x, &x)
+		if x != want {
+			t.Fatal("cyclotomicSquare != E12Square on the cyclotomic subgroup")
+		}
+	}
+}
+
+func TestFrobeniusPIsPower(t *testing.T) {
+	e := engine(t)
+	tw := e.T
+	rnd := rand.New(rand.NewSource(15))
+	x := randE12(e, rnd)
+	var want, fx, ffx, fx2 E12
+	tw.E12Exp(&want, &x, e.Fp.Modulus)
+	e.FrobeniusP(&fx, &x)
+	if fx != want {
+		t.Fatal("FrobeniusP(x) != x^p")
+	}
+	e.FrobeniusP(&ffx, &fx)
+	e.FrobeniusP2(&fx2, &x)
+	if ffx != fx2 {
+		t.Fatal("FrobeniusP(FrobeniusP(x)) != FrobeniusP2(x)")
+	}
+}

@@ -1,7 +1,9 @@
 // Package pairing implements a bilinear pairing on BN254 from scratch:
 // the extension-field tower Fp2 = Fp[u]/(u²+1), Fp6 = Fp2[v]/(v³−ξ) with
-// ξ = 9+u, Fp12 = Fp6[w]/(w²−v); the sextic-twist group G2; a Tate-style
-// Miller loop; and the final exponentiation. It is the substrate for the
+// ξ = 9+u, Fp12 = Fp6[w]/(w²−v); the sextic-twist group G2; the
+// optimal-ate multi-Miller loop over 6x+2 with sparse line products; and
+// the final exponentiation, whose hard part is the BN x-chain on
+// cyclotomic squarings. It is the substrate for the
 // Groth16 prover/verifier used in the paper's end-to-end evaluation
 // (Table 4). Correctness rests on algebraic self-tests (field axioms,
 // bilinearity e(aP, bQ) = e(P,Q)^{ab}, non-degeneracy) rather than
@@ -101,6 +103,9 @@ func (t *Tower) E2Square(z, x *E2) {
 	m.Mul(&z.A0, &sum, &diff) // a0² - a1²
 	m.Double(&z.A1, &prod)    // 2a0a1
 }
+
+// E2Conjugate sets z = a0 − a1·u, which equals x^p.
+func (t *Tower) E2Conjugate(z, x *E2) { z.A0 = x.A0; t.m.Neg(&z.A1, &x.A1) }
 
 // E2MulByFp scales both coordinates by an Fp element.
 func (t *Tower) E2MulByFp(z, x *E2, c *fe) {
@@ -210,6 +215,40 @@ func (t *Tower) E6Mul(z, x, y *E6) {
 // E6Square sets z = x².
 func (t *Tower) E6Square(z, x *E6) { t.E6Mul(z, x, x) }
 
+// e6MulByE2 sets z = x·c for c in Fp2: three Fp2 products.
+func (t *Tower) e6MulByE2(z, x *E6, c *E2) {
+	t.E2Mul(&z.C0, &x.C0, c)
+	t.E2Mul(&z.C1, &x.C1, c)
+	t.E2Mul(&z.C2, &x.C2, c)
+}
+
+// e6MulBy01 sets z = x·(c0 + c1·v), five Fp2 products instead of E6Mul's
+// six (z may alias x):
+// (x0c0 + ξ·x2c1) + (x0c1 + x1c0)·v + (x1c1 + x2c0)·v².
+func (t *Tower) e6MulBy01(z, x *E6, c0, c1 *E2) {
+	var a, b, s, u, z0, z1, z2 E2
+	t.E2Mul(&a, &x.C0, c0)
+	t.E2Mul(&b, &x.C1, c1)
+	// z0 = a + ξ·(c1(x1+x2) − b)
+	t.E2Add(&s, &x.C1, &x.C2)
+	t.E2Mul(&z0, &s, c1)
+	t.E2Sub(&z0, &z0, &b)
+	t.E2MulByXi(&z0, &z0)
+	t.E2Add(&z0, &z0, &a)
+	// z1 = (c0+c1)(x0+x1) − a − b
+	t.E2Add(&s, &x.C0, &x.C1)
+	t.E2Add(&u, c0, c1)
+	t.E2Mul(&z1, &s, &u)
+	t.E2Sub(&z1, &z1, &a)
+	t.E2Sub(&z1, &z1, &b)
+	// z2 = c0(x0+x2) − a + b
+	t.E2Add(&s, &x.C0, &x.C2)
+	t.E2Mul(&z2, &s, c0)
+	t.E2Sub(&z2, &z2, &a)
+	t.E2Add(&z2, &z2, &b)
+	*z = E6{z0, z1, z2}
+}
+
 // E6MulByV multiplies by v: (c0, c1, c2) → (ξ·c2, c0, c1).
 func (t *Tower) E6MulByV(z, x *E6) {
 	var c0 E2
@@ -291,6 +330,83 @@ func (t *Tower) E12Square(z, x *E12) {
 	t.E6Add(&z.D1, &ab, &ab)
 	t.E6MulByV(&ab, &ab)
 	t.E6Sub(&z.D0, &s, &ab)
+}
+
+// mulBy034 sets z = z·(c0 + c3·w + c4·v·w), the shape of a Miller-loop
+// line on the D-type twist: 13 Fp2 products against E12Mul's 18. With
+// z = a + b·w and c = c3 + c4·v,
+// z·line = (a·c0 + v·b·c) + ((a+b)(c0+c) − a·c0 − b·c)·w.
+func (t *Tower) mulBy034(z *E12, c0, c3, c4 *E2) {
+	var a, b, d E6
+	var s E2
+	t.e6MulByE2(&a, &z.D0, c0)
+	t.e6MulBy01(&b, &z.D1, c3, c4)
+	t.E2Add(&s, c0, c3)
+	t.E6Add(&d, &z.D0, &z.D1)
+	t.e6MulBy01(&d, &d, &s, c4)
+	t.E6Sub(&d, &d, &a)
+	t.E6Sub(&z.D1, &d, &b)
+	t.E6MulByV(&b, &b)
+	t.E6Add(&z.D0, &a, &b)
+}
+
+// cyclotomicSquare sets z = x² for x in the cyclotomic subgroup (the
+// image of the easy part of the final exponentiation) by Granger–Scott,
+// eprint 2009/565 §3.2: nine Fp2 squarings where E12Square costs twelve
+// Fp2 products. Fp12 is read as Fp4³ over the coordinate pairs
+// (D0.C0, D1.C1), (D1.C0, D0.C2), (D0.C1, D1.C2); each pair (g, h) squares
+// in Fp4 to (g² + ξh², 2gh), and on the subgroup the result is
+// 3·square ∓ 2·x coordinate-wise. It is wrong outside the subgroup; z may
+// alias x.
+func (t *Tower) cyclotomicSquare(z, x *E12) {
+	var t0, t1, t2, t3, t4, t5, t6, t7, t8 E2
+	t.E2Square(&t0, &x.D1.C1)
+	t.E2Square(&t1, &x.D0.C0)
+	t.E2Add(&t6, &x.D1.C1, &x.D0.C0)
+	t.E2Square(&t6, &t6)
+	t.E2Sub(&t6, &t6, &t0)
+	t.E2Sub(&t6, &t6, &t1) // 2·D0.C0·D1.C1
+	t.E2Square(&t2, &x.D0.C2)
+	t.E2Square(&t3, &x.D1.C0)
+	t.E2Add(&t7, &x.D0.C2, &x.D1.C0)
+	t.E2Square(&t7, &t7)
+	t.E2Sub(&t7, &t7, &t2)
+	t.E2Sub(&t7, &t7, &t3) // 2·D1.C0·D0.C2
+	t.E2Square(&t4, &x.D1.C2)
+	t.E2Square(&t5, &x.D0.C1)
+	t.E2Add(&t8, &x.D1.C2, &x.D0.C1)
+	t.E2Square(&t8, &t8)
+	t.E2Sub(&t8, &t8, &t4)
+	t.E2Sub(&t8, &t8, &t5)
+	t.E2MulByXi(&t8, &t8) // 2ξ·D0.C1·D1.C2
+
+	t.E2MulByXi(&t0, &t0)
+	t.E2Add(&t0, &t0, &t1) // D0.C0² + ξ·D1.C1²
+	t.E2MulByXi(&t2, &t2)
+	t.E2Add(&t2, &t2, &t3) // D1.C0² + ξ·D0.C2²
+	t.E2MulByXi(&t4, &t4)
+	t.E2Add(&t4, &t4, &t5) // D0.C1² + ξ·D1.C2²
+
+	t.e2ThreeSMinus2X(&z.D0.C0, &t0, &x.D0.C0)
+	t.e2ThreeSMinus2X(&z.D0.C1, &t2, &x.D0.C1)
+	t.e2ThreeSMinus2X(&z.D0.C2, &t4, &x.D0.C2)
+	t.e2ThreeSPlus2X(&z.D1.C0, &t8, &x.D1.C0)
+	t.e2ThreeSPlus2X(&z.D1.C1, &t6, &x.D1.C1)
+	t.e2ThreeSPlus2X(&z.D1.C2, &t7, &x.D1.C2)
+}
+
+// e2ThreeSMinus2X sets z = 3s − 2x.
+func (t *Tower) e2ThreeSMinus2X(z, s, x *E2) {
+	t.E2Sub(z, s, x)
+	t.E2Double(z, z)
+	t.E2Add(z, z, s)
+}
+
+// e2ThreeSPlus2X sets z = 3s + 2x.
+func (t *Tower) e2ThreeSPlus2X(z, s, x *E2) {
+	t.E2Add(z, s, x)
+	t.E2Double(z, z)
+	t.E2Add(z, z, s)
 }
 
 // E12Conjugate sets z = (d0, −d1), which equals x^(p⁶).
