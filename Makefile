@@ -1,7 +1,8 @@
 # Build / CI entry points. `make tier1` is the gate every PR must keep
 # green; `make race` runs the engine-bearing packages under the race
 # detector (the concurrent MSM engine lives in internal/core; the GPU
-# health registry that concurrent jobs share lives in internal/gpusim).
+# health registry that concurrent jobs share lives in internal/gpusim;
+# the root package's SNARK.ProveContext runs its MSM phases concurrently).
 
 GO ?= go
 
@@ -30,7 +31,7 @@ lint: vet
 	fi
 
 race:
-	$(GO) test -race ./internal/core ./internal/msm ./internal/bigint ./internal/field ./internal/curve ./internal/pairing ./internal/service ./internal/cluster ./internal/groth16 ./internal/ntt ./internal/telemetry ./internal/outsource ./internal/gpusim
+	$(GO) test -race . ./internal/core ./internal/msm ./internal/bigint ./internal/field ./internal/curve ./internal/pairing ./internal/service ./internal/cluster ./internal/groth16 ./internal/ntt ./internal/telemetry ./internal/outsource ./internal/gpusim
 
 # The benchmark (cmd/bench, declared by BENCHMARK.json): ten seeded runs
 # of all four workloads, appended as JSON lines to .bench_out/bench.jsonl.

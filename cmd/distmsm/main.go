@@ -164,11 +164,11 @@ func run(ctx context.Context, curveName, device, engine string, n, gpus, window 
 		return err
 	}
 
-	p := res.Plan
+	p := res.Priced
 	fmt.Printf("curve      : %s (λ=%d bits, p=%d bits)\n", c.Name, c.ScalarBits, c.Fp.Bits())
 	fmt.Printf("system     : %d x %s (%s engine)\n", sys.GPUs(), sys.DeviceName(), eng)
-	fmt.Printf("plan       : s=%d windows=%d buckets=%d signed=%v hierarchical=%v cpu-reduce=%v\n",
-		p.S, p.Windows, p.Buckets, p.Signed, p.Hierarchical, !p.ReduceOnGPU)
+	fmt.Printf("plan       : priced s=%d executed s=%d windows=%d buckets=%d signed=%v hierarchical=%v cpu-reduce=%v\n",
+		p.S, res.Plan.S, p.Windows, p.Buckets, p.Signed, p.Hierarchical, !p.ReduceOnGPU)
 	fmt.Printf("modeled ms : total=%.3f scatter=%.3f bucket-sum=%.3f reduce=%.3f transfer=%.3f\n",
 		res.Cost.Total()*1e3, res.Cost.Scatter*1e3, res.Cost.BucketSum*1e3,
 		res.Cost.BucketReduce*1e3, res.Cost.Transfer*1e3)

@@ -166,8 +166,11 @@ var (
 // Option configures one MSM execution of the *Context entry points.
 type Option func(*core.Options)
 
-// WithWindowBits forces the window size s; without it the §3.1 workload
-// model searches for the cheapest size.
+// WithWindowBits forces the window size s, for the plan that runs and
+// the plan that is priced alike (Result.Plan == Result.Priced). Without
+// it the §3.1 workload model searches for the cheapest size, which
+// Result.Cost prices, and the same work runs at the window that
+// minimises the host's bucket work (Result.Plan).
 func WithWindowBits(s int) Option {
 	return func(o *core.Options) { o.WindowSize = s }
 }

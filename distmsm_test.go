@@ -1,14 +1,17 @@
 package distmsm_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"distmsm"
+	"distmsm/internal/groth16"
 )
 
 func TestPublicAPICurves(t *testing.T) {
@@ -119,6 +122,49 @@ func TestPublicAPISNARK(t *testing.T) {
 	}
 	if snark.ModeledMSMSeconds <= 0 {
 		t.Error("GPU-routed prover should accumulate modeled MSM time")
+	}
+}
+
+// TestSNARKProveDeterministic: ProveContext runs its G1 phases
+// concurrently, yet two proves with the same blinding give the same
+// proof bytes and bit-equal modeled MSM seconds.
+func TestSNARKProveDeterministic(t *testing.T) {
+	sys, err := distmsm.NewSystem(distmsm.A100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snark, err := distmsm.NewSNARK(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := groth16.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cs, w := snark.SyntheticCircuit(64, 3)
+	pk, vk, err := snark.SetupContext(ctx, cs, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var proofs [2][]byte
+	var modeled [2]float64
+	for i := range proofs {
+		snark.ModeledMSMSeconds = 0
+		proof, err := snark.ProveContext(ctx, cs, pk, w, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := snark.Verify(vk, proof, w[1:1+cs.NPublic]); err != nil || !ok {
+			t.Fatalf("prove %d did not verify: %v", i, err)
+		}
+		proofs[i], modeled[i] = eng.MarshalProof(proof), snark.ModeledMSMSeconds
+	}
+	if !bytes.Equal(proofs[0], proofs[1]) {
+		t.Error("same blinding, different proof bytes")
+	}
+	if math.Float64bits(modeled[0]) != math.Float64bits(modeled[1]) || modeled[0] <= 0 {
+		t.Errorf("modeled MSM seconds %v and %v, want equal and positive", modeled[0], modeled[1])
 	}
 }
 

@@ -162,16 +162,25 @@ func (s *ScatterStats) add(o ScatterStats) {
 type Result struct {
 	// Point is the MSM value (nil in analytic mode).
 	Point *curve.PointXYZZ
-	// Cost is the modeled wall-time breakdown on the cluster.
-	Cost  gpusim.Cost
-	Plan  *Plan
-	Stats Stats
+	// Cost is the modeled wall-time breakdown on the cluster: the price
+	// of Priced.
+	Cost gpusim.Cost
+	// Plan is the plan that ran; Stats, PerGPU and the trace spans
+	// describe it.
+	Plan *Plan
+	// Priced is the §3.1 plan Cost was computed from. It is Plan itself
+	// unless RunContext chose the executed window (Options.WindowSize 0,
+	// see executedPlan).
+	Priced *Plan
+	Stats  Stats
 }
 
 // RunContext executes DistMSM functionally: it computes the exact MSM
-// result by running the real scatter/sum/reduce phases of the plan, and
-// prices the same work with the GPU cost model. Use Analytic for
-// paper-scale sizes.
+// result by running the real scatter/sum/reduce phases of a plan, and
+// prices the §3.1 plan with the GPU cost model. With a pinned window
+// the plan that runs is the plan that is priced; with Options.WindowSize
+// 0 the priced plan's work runs at the host's window (Result.Plan
+// against Result.Priced). Use Analytic for paper-scale sizes.
 //
 // The context is checked at every shard boundary: cancelling it makes
 // RunContext return ctx.Err() promptly without leaking workers.
@@ -229,18 +238,24 @@ func RunContext(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, points 
 			return nil, err
 		}
 	}
-	plan, err := BuildPlan(c, cl, len(points), opts)
+	// One admission for both plans: the breaker ticks once per run.
+	adm := admit(cl)
+	priced, err := pricedPlan(c, cl, len(points), opts, adm)
 	if err != nil {
 		return nil, err
 	}
-	return execute(ctx, points, scalars, plan, opts)
+	plan, err := executedPlan(c, cl, len(points), opts, priced, adm)
+	if err != nil {
+		return nil, err
+	}
+	return execute(ctx, points, scalars, plan, priced, opts)
 }
 
-// execute runs plan on the engine opts selects and attaches the plan's
-// modeled cost to the result. When every simulated GPU is lost mid-run
-// and the fault config allows it, the plan is re-run on the host —
-// throughput degrades, correctness does not.
-func execute(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan *Plan, opts Options) (*Result, error) {
+// execute runs plan on the engine opts selects and attaches the priced
+// plan's modeled cost to the result. When every simulated GPU is lost
+// mid-run and the fault config allows it, the plan is re-run on the
+// host — throughput degrades, correctness does not.
+func execute(ctx context.Context, points []curve.PointAffine, scalars []bigint.Nat, plan, priced *Plan, opts Options) (*Result, error) {
 	var res *Result
 	var faults FaultStats
 	var err error
@@ -260,7 +275,8 @@ func execute(ctx context.Context, points []curve.PointAffine, scalars []bigint.N
 		return nil, err
 	}
 	res.Stats.Faults = faults
-	res.Cost = plan.EstimateCost()
+	res.Priced = priced
+	res.Cost = priced.EstimateCost()
 	return res, nil
 }
 
@@ -271,7 +287,7 @@ func Analytic(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Plan: plan, Cost: plan.EstimateCost()}, nil
+	return &Result{Plan: plan, Priced: plan, Cost: plan.EstimateCost()}, nil
 }
 
 // scatterWindow runs the plan's bucket scatter on one window's digits.

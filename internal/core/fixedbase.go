@@ -288,7 +288,7 @@ func runFixedBase(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, scala
 		return nil, err
 	}
 	plan.Pre = []*ScatterResult{sc}
-	res, err := execute(ctx, fb.flat, nil, plan, opts)
+	res, err := execute(ctx, fb.flat, nil, plan, plan, opts)
 	if err != nil {
 		return nil, err
 	}

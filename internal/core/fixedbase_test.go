@@ -117,3 +117,27 @@ func TestFixedBaseRunAllocs(t *testing.T) {
 		t.Logf("warm 256-point fixed-base RunContext: %.0f allocs", allocs)
 	}
 }
+
+// TestVariableBaseRunAllocs: a warm variable-base run allocates per
+// window (one flat scatter, one bucket array) and per shard, never per
+// point or per bucket reference (it was ~40 000 objects when the scatter
+// grew one slice per bucket).
+func TestVariableBaseRunAllocs(t *testing.T) {
+	c := mustCurve(t, "BN254")
+	const n = 1 << 12
+	points := c.SamplePoints(n, 23)
+	scalars := c.SampleScalars(n, 24)
+	sys := cluster(t, 8)
+	ctx := context.Background()
+	run := func() {
+		if _, err := RunContext(ctx, c, sys, points, scalars, Options{Engine: EngineConcurrent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: memoised plan choice and kernel specs, runtime timers
+	if allocs := testing.AllocsPerRun(3, run); allocs > 1500 {
+		t.Errorf("warm 2^12 variable-base RunContext allocates %.0f objects, want ≤ 1500", allocs)
+	} else {
+		t.Logf("warm 2^12 variable-base RunContext: %.0f allocs", allocs)
+	}
+}

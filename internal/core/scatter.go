@@ -33,38 +33,10 @@ type ScatterResult struct {
 	Stats   ScatterStats
 }
 
-// bucketRef encodes digit d of point idx as (bucket, signed reference);
-// returns bucket -1 for zero digits (skipped).
-func bucketRef(idx int, d int32) (int, int32) {
-	if d == 0 {
-		return -1, 0
-	}
-	ref := int32(idx + 1)
-	if d < 0 {
-		return int(-d), -ref
-	}
-	return int(d), ref
-}
-
 // NaiveScatter is the baseline bucket scatter: every point issues one
 // global atomic to allocate a slot in its bucket (§3.2.1's strawman).
 func NaiveScatter(digits []int32, nBuckets int) (*ScatterResult, error) {
-	if nBuckets < 2 {
-		return nil, fmt.Errorf("core: scatter needs at least 2 buckets, got %d", nBuckets)
-	}
-	res := &ScatterResult{Buckets: make([][]int32, nBuckets)}
-	for i, d := range digits {
-		b, ref := bucketRef(i, d)
-		if b < 0 {
-			continue
-		}
-		if b >= nBuckets {
-			return nil, fmt.Errorf("core: digit %d out of bucket range %d", d, nBuckets)
-		}
-		res.Buckets[b] = append(res.Buckets[b], ref)
-		res.Stats.GlobalAtomics++
-	}
-	return res, nil
+	return scatter(digits, nBuckets, 0)
 }
 
 // HierarchicalScatter is the three-level bucket scatter of Algorithm 3:
@@ -72,64 +44,88 @@ func NaiveScatter(digits []int32, nBuckets int) (*ScatterResult, error) {
 // memory (per-point shared atomics for counting and placement, a parallel
 // prefix sum for exact per-bucket offsets) and then commits each
 // non-empty local bucket to global memory with a single global atomic.
-// The produced buckets hold the same point multisets as NaiveScatter —
-// only the intra-bucket order and the atomic traffic differ.
+// The produced buckets are identical to NaiveScatter's, in the same
+// order — only the counted atomic traffic differs.
 func HierarchicalScatter(digits []int32, nBuckets int, block BlockConfig) (*ScatterResult, error) {
-	if nBuckets < 2 {
-		return nil, fmt.Errorf("core: scatter needs at least 2 buckets, got %d", nBuckets)
-	}
 	if block.Threads <= 0 || block.K <= 0 {
 		return nil, fmt.Errorf("core: invalid block config %+v", block)
 	}
-	res := &ScatterResult{Buckets: make([][]int32, nBuckets)}
-	per := block.PointsPerBlock()
-	counts := make([]int, nBuckets)
-	localRefs := make([][]int32, nBuckets)
-	for lo := 0; lo < len(digits); lo += per {
-		hi := lo + per
-		if hi > len(digits) {
-			hi = len(digits)
-		}
-		res.Stats.Passes++
-		// Level 1: count digits into shared counters (one shared atomic
-		// per point; the bucket id stays in a register).
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i := lo; i < hi; i++ {
-			b, _ := bucketRef(i, digits[i])
-			if b < 0 {
+	return scatter(digits, nBuckets, block.PointsPerBlock())
+}
+
+// scatter is the one bucket-scatter body behind both kernels: a stable
+// counting sort of the window's signed point references (ref = idx+1,
+// negated when the digit is negative) into one flat backing array, with
+// Buckets[b] a sub-slice of it holding bucket b's references in point
+// order. per > 0 counts the hierarchical scatter's events over blocks of
+// per points: one pass per block, two shared atomics (count and place)
+// per reference, one global atomic per non-empty local bucket. per == 0
+// counts the naive scatter's one global atomic per reference.
+func scatter(digits []int32, nBuckets int, per int) (*ScatterResult, error) {
+	if nBuckets < 2 {
+		return nil, fmt.Errorf("core: scatter needs at least 2 buckets, got %d", nBuckets)
+	}
+	// offset[b] counts bucket b's references, then becomes its next free
+	// slot. seen[b] is the last pass that touched bucket b (hierarchical).
+	offset := make([]int32, nBuckets)
+	var seen []int32
+	if per > 0 {
+		seen = make([]int32, nBuckets)
+	}
+	var stats ScatterStats
+	refs := 0
+	step := per
+	if per == 0 {
+		step = len(digits) // one block, no passes counted
+	}
+	for lo := 0; lo < len(digits); lo += step {
+		pass := int32(lo/step + 1)
+		for _, d := range digits[lo:min(lo+step, len(digits))] {
+			if d == 0 {
 				continue
+			}
+			b := int(d)
+			if b < 0 {
+				b = -b
 			}
 			if b >= nBuckets {
-				return nil, fmt.Errorf("core: digit %d out of bucket range %d", digits[i], nBuckets)
+				return nil, fmt.Errorf("core: digit %d out of bucket range %d", d, nBuckets)
 			}
-			counts[b]++
-			res.Stats.SharedAtomics++
-		}
-		// Level 2: prefix sum gives each bucket exactly its element count
-		// of shared memory (Figure 4b); each point is placed with one
-		// shared atomic on its bucket's offset.
-		for i := range localRefs {
-			localRefs[i] = localRefs[i][:0]
-		}
-		for i := lo; i < hi; i++ {
-			b, ref := bucketRef(i, digits[i])
-			if b < 0 {
-				continue
+			offset[b]++
+			refs++
+			if seen != nil && seen[b] != pass {
+				seen[b] = pass
+				stats.GlobalAtomics++
 			}
-			localRefs[b] = append(localRefs[b], ref)
-			res.Stats.SharedAtomics++
 		}
-		// Level 3: one global atomic per non-empty local bucket reserves
-		// the device-memory range; the block then writes its points.
-		for b, refs := range localRefs {
-			if len(refs) == 0 {
-				continue
-			}
-			res.Stats.GlobalAtomics++
-			res.Buckets[b] = append(res.Buckets[b], refs...)
+	}
+	if per > 0 {
+		stats.Passes = (len(digits) + per - 1) / per
+		stats.SharedAtomics = 2 * refs
+	} else {
+		stats.GlobalAtomics = refs
+	}
+
+	res := &ScatterResult{Buckets: make([][]int32, nBuckets), Stats: stats}
+	arena := make([]int32, refs)
+	off := int32(0)
+	for b, n := range offset {
+		if n > 0 {
+			res.Buckets[b] = arena[off : off+n : off+n]
 		}
+		offset[b] = off
+		off += n
+	}
+	for i, d := range digits {
+		if d == 0 {
+			continue
+		}
+		ref := int32(i + 1)
+		if d < 0 {
+			d, ref = -d, -ref
+		}
+		arena[offset[d]] = ref
+		offset[d]++
 	}
 	return res, nil
 }

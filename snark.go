@@ -82,24 +82,36 @@ func (s *SNARK) SetupContext(ctx context.Context, cs *ConstraintSystem, rnd *ran
 
 // ProveContext generates a proof; when a System is attached, the G1
 // MSMs run through the concurrent DistMSM engine and their modeled GPU
-// time accumulates in ModeledMSMSeconds. The context is honoured through
-// the whole pipeline — the quotient's coset NTTs (between butterfly
-// passes), every MSM phase boundary, and the MSM shards themselves — so
-// a cancel or deadline aborts the prover promptly wherever it lands.
+// time accumulates in ModeledMSMSeconds. The prover runs its phase
+// table as the dependency DAG: the quotient's coset NTTs overlap the
+// witness-only MSMs, and msm-Z starts when the quotient lands. The
+// proof bytes do not depend on the schedule. The context is honoured
+// through the whole pipeline — the quotient's coset NTTs (between
+// butterfly passes), every MSM phase boundary, and the MSM shards
+// themselves — so a cancel or deadline aborts the prover promptly
+// wherever it lands.
 func (s *SNARK) ProveContext(ctx context.Context, cs *ConstraintSystem, pk *ProvingKey, w Witness, rnd *rand.Rand) (*Proof, error) {
-	var pr groth16.Provers
+	pr := groth16.Provers{Pipeline: &groth16.PipelineOptions{}}
+	// The G1 phases run concurrently, so each writes its modeled cost
+	// into its own slot; the slots are added in phase order once the
+	// prover returns, which keeps the float sum schedule-independent.
+	var modeled [4]float64
 	if s.system != nil {
-		pr.G1Ctx = func(ctx context.Context, _ groth16.MSMPhase, points []curve.PointAffine, scalars []Scalar) (*curve.PointXYZZ, error) {
+		pr.G1Ctx = func(ctx context.Context, phase groth16.MSMPhase, points []curve.PointAffine, scalars []Scalar) (*curve.PointXYZZ, error) {
 			res, err := core.RunContext(ctx, s.engine.P.Curve, s.system.cluster, points, scalars,
-				core.Options{WindowSize: 8, Engine: core.EngineConcurrent})
+				core.Options{Engine: core.EngineConcurrent})
 			if err != nil {
 				return nil, err
 			}
-			s.ModeledMSMSeconds += res.Cost.Total()
+			modeled[phase] = res.Cost.Total()
 			return res.Point, nil
 		}
 	}
-	return s.engine.ProveContextWith(ctx, cs, pk, w, rnd, pr)
+	proof, err := s.engine.ProveContextWith(ctx, cs, pk, w, rnd, pr)
+	for _, sec := range modeled {
+		s.ModeledMSMSeconds += sec
+	}
+	return proof, err
 }
 
 // Verify checks a proof against the public inputs.
