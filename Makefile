@@ -21,9 +21,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Static analysis: vet always, staticcheck when the binary is on PATH
-# (CI installs it; local trees without it still get the vet pass).
+# Static analysis: gofmt and vet always, staticcheck when the binary is
+# on PATH (CI installs it; local trees without it still get the vet
+# pass). Any file gofmt would rewrite fails the target.
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -51,10 +55,12 @@ bench-smoke:
 # binary-GCD inversion (vs Fermat), the value-typed pairing tower (vs a
 # math/big Fp2), the service's wire-format parser, the /v1/msm shard
 # evaluation (engine + resident tables vs the double-and-add reference),
-# the proof/VK decoders and Groth16 Verify (vs the Tate-pairing oracle).
+# the proof/VK decoders, Groth16 Verify (vs the Tate-pairing oracle) and
+# the engine's shard challenge check (vs an exact per-bucket recompute).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMul4Parity -fuzztime=10s ./internal/bigint
 	$(GO) test -run=^$$ -fuzz=FuzzMul6Parity -fuzztime=10s ./internal/bigint
+	$(GO) test -run=^$$ -fuzz=FuzzShardChallenge -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzInvParity -fuzztime=10s ./internal/field
 	$(GO) test -run=^$$ -fuzz=FuzzTowerParity -fuzztime=10s ./internal/pairing
 	$(GO) test -run=^$$ -fuzz=FuzzJobRequest -fuzztime=10s ./internal/service

@@ -33,6 +33,12 @@
 // (Stats.Faults.DegradedToSerial) unless the fault config forbids it, in
 // which case ErrAllGPUsLost is returned. WithRetryPolicy and WithVerifySampling tune the recovery.
 //
+// For a base vector that many MSMs share (a proving-key column),
+// PrecomputeBases builds the §2.3.1 per-window tables once and
+// WithPrecomputedBases runs an MSM over them. WithGLV is a table
+// option: it folds the GLV endomorphism split into the tables, and an
+// MSM given WithGLV without tables returns an error.
+//
 // The packages under internal/ hold the implementation: finite fields,
 // curves, the CPU Pippenger, the GPU performance model, the DistMSM
 // scheduler, tensor-core arithmetic, NTT, pairing and Groth16. See
@@ -212,12 +218,6 @@ func WithSplitNDim(on bool) Option {
 	return func(o *core.Options) { o.SplitNDim = on }
 }
 
-// WithScatterBlock overrides the scatter thread-block geometry:
-// `threads` per block, `k` register-cached coefficients per thread.
-func WithScatterBlock(threads, k int) Option {
-	return func(o *core.Options) { o.Block = core.BlockConfig{Threads: threads, K: k} }
-}
-
 // WithFaultInjection turns on deterministic fault injection on the
 // simulated GPUs of the concurrent engine: each shard execution rolls —
 // as a pure function of cfg.Seed and the shard's identity, so runs are
@@ -249,14 +249,6 @@ func WithVerifySampling(p float64) Option {
 	return func(o *core.Options) { o.VerifySampling = p }
 }
 
-// WithVerifyMaskTerms sets the sparse-mask size s of the outsourced
-// shard check (0 = the internal/outsource default). A worker — or a
-// simulated fault — that consistently drops a fraction f of a shard's
-// work escapes one check with probability ~(1-f)^s.
-func WithVerifyMaskTerms(s int) Option {
-	return func(o *core.Options) { o.VerifyMaskTerms = s }
-}
-
 // WithTracer records a span for every phase of the execution into tr:
 // each window's scatter, every (window, bucket-range) shard execution
 // with its GPU, attempt number and speculative flag, each window's
@@ -282,13 +274,15 @@ func WithPrecomputedBases(fb *FixedBase) Option {
 	return func(o *core.Options) { o.FixedBase = fb }
 }
 
-// WithGLV enables the GLV endomorphism strategy (§2.3.2): each scalar k
-// is decomposed as k = k1 + λ·k2 with |k1|,|k2| ≈ √r, and the MSM runs
-// over 2N points — [P_i…, φ(P_i)…] — with half-width scalars, halving
-// the window count. Requires an a=0 curve with a known endomorphism
-// (BN254, BLS12-377, BLS12-381) and points in the prime-order subgroup;
-// combine with WithPrecomputedBases by building the tables with GLV set.
-// Results are bit-identical to the plain path.
+// WithGLV is a PrecomputeBases option: it folds the GLV endomorphism
+// split (§2.3.2) into the tables. Each scalar k is decomposed as
+// k = k1 + λ·k2 with |k1|,|k2| ≈ √r, and the tables cover 2N points —
+// [P_i…, φ(P_i)…] — at half the window count. Requires an a=0 curve
+// with a known endomorphism (BN254, BLS12-381) and points in the
+// prime-order subgroup. On an MSM it is valid only together with
+// WithPrecomputedBases over such tables; without them the MSM returns
+// an error (there is no variable-base GLV strategy). Results are
+// bit-identical to the plain path.
 func WithGLV(on bool) Option {
 	return func(o *core.Options) { o.GLV = on }
 }

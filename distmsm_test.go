@@ -216,6 +216,50 @@ func TestPublicAPIMSMContext(t *testing.T) {
 	}
 }
 
+// TestPublicAPIPrecomputedBases: MSMs over PrecomputeBases tables, with
+// and without the GLV split folded in, equal the CPU reference, and
+// WithGLV without tables is an error rather than a second strategy.
+// BN254 G1 has cofactor 1, so every sample point lies in the
+// prime-order subgroup GLV needs.
+func TestPublicAPIPrecomputedBases(t *testing.T) {
+	c, err := distmsm.Curve("BN254")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 96
+	points := c.SamplePoints(n, 13)
+	scalars := c.SampleScalars(n, 14)
+	want, err := distmsm.CPUMSM(c, points, scalars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := distmsm.NewSystem(distmsm.A100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, glv := range []bool{false, true} {
+		fb, err := distmsm.PrecomputeBases(c, points, distmsm.WithGLV(glv))
+		if err != nil {
+			t.Fatalf("glv=%v: %v", glv, err)
+		}
+		if fb.GLV() != glv || fb.N() != n {
+			t.Errorf("glv=%v: tables report GLV=%v N=%d", glv, fb.GLV(), fb.N())
+		}
+		res, err := sys.MSMContext(ctx, c, points, scalars,
+			distmsm.WithPrecomputedBases(fb), distmsm.WithGLV(glv))
+		if err != nil {
+			t.Fatalf("glv=%v: %v", glv, err)
+		}
+		if !c.EqualXYZZ(res.Point, want) {
+			t.Errorf("glv=%v: MSM over precomputed bases differs from CPUMSM", glv)
+		}
+	}
+	if _, err := sys.MSMContext(ctx, c, points, scalars, distmsm.WithGLV(true)); err == nil {
+		t.Error("WithGLV without precomputed bases must error")
+	}
+}
+
 func TestPublicAPISentinelErrors(t *testing.T) {
 	c, err := distmsm.Curve("BN254")
 	if err != nil {

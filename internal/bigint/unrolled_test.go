@@ -126,6 +126,54 @@ func TestUnrolledMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestAddParity holds add4/add6 to math/big: every pair of edge values
+// (0, 1, n−1, …), pairs whose raw sum is n−1, n or n+1 (the reduction
+// select's boundary), and random pairs.
+func TestAddParity(t *testing.T) {
+	rnd := rand.New(rand.NewSource(81))
+	for _, dec := range unrolledModuli {
+		m, n := montCtx(t, dec)
+		w := m.Width()
+		nl := FromBig(n, w)
+		add := func(z, x, y Nat) {
+			if w == 4 {
+				add4((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), (*[4]uint64)(nl))
+			} else {
+				add6((*[6]uint64)(z), (*[6]uint64)(x), (*[6]uint64)(y), (*[6]uint64)(nl))
+			}
+		}
+		check := func(x, y Nat) {
+			t.Helper()
+			z := New(w)
+			add(z, x, y)
+			want := new(big.Int).Add(x.ToBig(), y.ToBig())
+			want.Mod(want, n)
+			if z.ToBig().Cmp(want) != 0 {
+				t.Fatalf("mod %s: add(%v, %v) = %v, want %v", n, x, y, z.ToBig(), want)
+			}
+		}
+		edges := edgeValues(n, w)
+		for _, x := range edges {
+			for _, y := range edges {
+				check(x, y)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			x := randResidue(rnd, n, w)
+			check(x, randResidue(rnd, n, w))
+			if x.ToBig().Sign() == 0 {
+				continue
+			}
+			// y = n − x − 1, n − x and n − x + 1 (the last two reduced mod n).
+			for _, d := range []int64{-1, 0, 1} {
+				y := new(big.Int).Sub(n, x.ToBig())
+				y.Add(y, big.NewInt(d)).Mod(y, n)
+				check(x, FromBig(y, w))
+			}
+		}
+	}
+}
+
 // TestUnrolledAliasing verifies z aliasing x and/or y is safe.
 func TestUnrolledAliasing(t *testing.T) {
 	rnd := rand.New(rand.NewSource(78))

@@ -212,6 +212,9 @@ func RunContext(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, points 
 	if err := opts.Retry.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.GLV && opts.FixedBase == nil {
+		return nil, fmt.Errorf("core: GLV is a fixed-base table option: build the tables with NewFixedBase and GLV set")
+	}
 	if opts.Faults != nil {
 		inj, err := gpusim.NewFaultInjector(*opts.Faults)
 		if err != nil {
@@ -223,20 +226,6 @@ func RunContext(ctx context.Context, c *curve.Curve, cl *gpusim.Cluster, points 
 		// Fixed-base strategy: the base vector lives in the precomputed
 		// tables; the caller's points are only checked for identity above.
 		return runFixedBase(ctx, c, cl, scalars, opts)
-	}
-	if opts.GLV {
-		// GLV endomorphism strategy (§2.3.2): split every (point, scalar)
-		// pair into two half-width pairs, then plan and execute the 2N-point
-		// MSM on a half-width curve view. Purely an input transform — the
-		// scheduler below is unchanged.
-		g, err := glvContext(c)
-		if err != nil {
-			return nil, err
-		}
-		points, scalars, c, err = glvSplit(g, c, points, scalars)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// One admission for both plans: the breaker ticks once per run.
 	adm := admit(cl)

@@ -285,11 +285,10 @@ func TestVerifySamplingOptions(t *testing.T) {
 	}
 }
 
-// TestVerifyModesDifferential pins that the default constant-size
-// outsourced check and the recompute-based reference agree: both accept
-// every shard of a clean run, both reject injected corruption and
-// recover to the bit-identical point. VerifyRecompute is kept exactly
-// to serve as this oracle.
+// TestVerifyModesDifferential pins the constant-size shard check end
+// to end: it accepts every shard of a clean run, rejects injected
+// corruption and recovers to the bit-identical point. Its per-shard
+// oracle is the exact recompute of TestShardChallengeMatchesRecompute.
 func TestVerifyModesDifferential(t *testing.T) {
 	c := mustCurve(t, "BN254")
 	sys := cluster(t, 4)
@@ -297,59 +296,30 @@ func TestVerifyModesDifferential(t *testing.T) {
 	points := c.SamplePoints(n, 51)
 	scalars := c.SampleScalars(n, 52)
 	want := c.MSMReference(points, scalars)
-	for _, mode := range []VerifyMode{VerifyOutsource, VerifyRecompute} {
-		for _, corrupt := range []float64{0, 0.3} {
-			cfg := gpusim.FaultConfig{Seed: 7, Corrupt: corrupt}
-			res, err := RunContext(context.Background(), c, sys, points, scalars,
-				Options{WindowSize: 8, Engine: EngineConcurrent, VerifySampling: 1,
-					VerifyMode: mode, Faults: &cfg})
-			if err != nil {
-				t.Fatalf("mode=%d corrupt=%v: %v", mode, corrupt, err)
+	for _, corrupt := range []float64{0, 0.3} {
+		cfg := gpusim.FaultConfig{Seed: 7, Corrupt: corrupt}
+		res, err := RunContext(context.Background(), c, sys, points, scalars,
+			Options{WindowSize: 8, Engine: EngineConcurrent, VerifySampling: 1, Faults: &cfg})
+		if err != nil {
+			t.Fatalf("corrupt=%v: %v", corrupt, err)
+		}
+		if res.Stats.Faults.VerificationRuns == 0 {
+			t.Errorf("corrupt=%v: no verifications ran", corrupt)
+		}
+		if corrupt == 0 && res.Stats.Faults.VerificationFailures != 0 {
+			t.Error("clean run failed verification")
+		}
+		if corrupt > 0 {
+			if res.Stats.Faults.Corruptions == 0 {
+				t.Fatal("corruption schedule inert")
 			}
-			if res.Stats.Faults.VerificationRuns == 0 {
-				t.Errorf("mode=%d corrupt=%v: no verifications ran", mode, corrupt)
-			}
-			if corrupt == 0 && res.Stats.Faults.VerificationFailures != 0 {
-				t.Errorf("mode=%d: clean run failed verification", mode)
-			}
-			if corrupt > 0 {
-				if res.Stats.Faults.Corruptions == 0 {
-					t.Fatalf("mode=%d: corruption schedule inert", mode)
-				}
-				if res.Stats.Faults.VerificationFailures == 0 {
-					t.Errorf("mode=%d: corrupted shards never rejected", mode)
-				}
-			}
-			if !c.EqualXYZZ(res.Point, want) {
-				t.Errorf("mode=%d corrupt=%v: wrong point vs reference", mode, corrupt)
+			if res.Stats.Faults.VerificationFailures == 0 {
+				t.Error("corrupted shards never rejected")
 			}
 		}
-	}
-}
-
-// TestVerifyOutsourceMaskTerms: the mask-size knob plumbs through and a
-// 1-term mask still rejects the injector's whole-accumulator
-// perturbation (corruptShard perturbs an accumulator, not a mask-sized
-// subset, so any mask size catches it via the aggregate equation).
-func TestVerifyOutsourceMaskTerms(t *testing.T) {
-	c := mustCurve(t, "BN254")
-	sys := cluster(t, 2)
-	const n = 32
-	points := c.SamplePoints(n, 53)
-	scalars := c.SampleScalars(n, 54)
-	want := c.MSMReference(points, scalars)
-	cfg := gpusim.FaultConfig{Seed: 3, Corrupt: 0.4}
-	res, err := RunContext(context.Background(), c, sys, points, scalars,
-		Options{WindowSize: 8, Engine: EngineConcurrent, VerifySampling: 1,
-			VerifyMaskTerms: 1, Faults: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Faults.Corruptions == 0 || res.Stats.Faults.VerificationFailures == 0 {
-		t.Fatalf("faults=%+v: corruption not injected or not caught", res.Stats.Faults)
-	}
-	if !c.EqualXYZZ(res.Point, want) {
-		t.Fatal("wrong point vs reference")
+		if !c.EqualXYZZ(res.Point, want) {
+			t.Errorf("corrupt=%v: wrong point vs reference", corrupt)
+		}
 	}
 }
 

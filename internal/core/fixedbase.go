@@ -13,21 +13,20 @@ import (
 	"distmsm/internal/telemetry"
 )
 
-// This file promotes the fixed-base precomputation (§2.3.1) and the GLV
-// endomorphism split from internal/msm helpers to first-class engine
-// strategies, selectable through Options.FixedBase / Options.GLV:
+// This file promotes the fixed-base precomputation (§2.3.1) from an
+// internal/msm helper to a first-class engine strategy, selectable
+// through Options.FixedBase. It runs the merged-window form: every
+// window's digits scatter into ONE shared bucket array whose references
+// index the flat table vector flat[j·base+i] = 2^(j·s)·B_i, so the whole
+// MSM is a single-window plan — one bucket-reduce, no window-reduce
+// doubling ladder — that the existing shard scheduler (retries, steals,
+// speculation, verification, device loss) executes unchanged. The GLV
+// endomorphism split (§2.3.2), with Options.GLV, is folded into the
+// tables: the base vector doubles and the window count halves. There is
+// no variable-base GLV strategy; at the host window it tied or lost to
+// the plain plan at every measured n.
 //
-//   - FixedBase evaluation runs the merged-window form: every window's
-//     digits scatter into ONE shared bucket array whose references index
-//     the flat table vector flat[j·base+i] = 2^(j·s)·B_i, so the whole
-//     MSM is a single-window plan — one bucket-reduce, no window-reduce
-//     doubling ladder — that the existing shard scheduler (retries,
-//     steals, speculation, verification, device loss) executes unchanged.
-//   - GLV rewrites (points, scalars) into the 2N-point half-width split
-//     before planning; every downstream phase then sees a standard MSM
-//     with half the windows.
-//
-// Both strategies are bit-identical to the plain serial reference: the
+// The strategy is bit-identical to the plain serial reference: the
 // per-bucket accumulation order is fixed by the scatter, buckets are
 // never split across shards, and the final reduce is deterministic.
 
@@ -311,42 +310,4 @@ func glvContext(c *curve.Curve) (*msm.GLV, error) {
 	e := v.(*glvEntry)
 	e.once.Do(func() { e.g, e.err = msm.NewGLV(c) })
 	return e.g, e.err
-}
-
-// glvSplit rewrites the execution inputs through the endomorphism:
-// 2N points (negated copies where a decomposition half is negative),
-// half-width scalars, and a curve copy with the narrowed scalar width
-// for the planner. All input points must lie in the prime-order
-// subgroup — the λ-relation does not hold elsewhere.
-func glvSplit(g *msm.GLV, c *curve.Curve, points []curve.PointAffine, scalars []bigint.Nat) ([]curve.PointAffine, []bigint.Nat, *curve.Curve, error) {
-	n := len(points)
-	pts := g.SplitPoints(points)
-	ks := make([]bigint.Nat, 2*n)
-	for i := range scalars {
-		k1, neg1, k2, neg2, err := g.DecomposeNat(scalars[i])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ks[i], ks[n+i] = k1, k2
-		if neg1 {
-			pts[i] = negAffineCopy(c, pts[i])
-		}
-		if neg2 {
-			pts[n+i] = negAffineCopy(c, pts[n+i])
-		}
-	}
-	hc := *c
-	hc.ScalarBits = g.HalfBits() + 4
-	return pts, ks, &hc, nil
-}
-
-// negAffineCopy negates a point into fresh Y storage (the input may
-// share element storage with the caller's vector).
-func negAffineCopy(c *curve.Curve, p curve.PointAffine) curve.PointAffine {
-	if p.Inf {
-		return p
-	}
-	negY := c.Fp.NewElement()
-	c.Fp.Neg(negY, p.Y)
-	return curve.PointAffine{X: p.X, Y: negY}
 }

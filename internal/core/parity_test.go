@@ -40,7 +40,6 @@ func TestStrategyParityMatrix(t *testing.T) {
 	}
 	strategies := []strategy{
 		{name: "fixed-base", fb: true},
-		{name: "glv", glv: true},
 		{name: "fixed-base-glv", fb: true, glv: true},
 	}
 	faultClasses := []struct {
@@ -146,6 +145,10 @@ func TestFixedBaseValidation(t *testing.T) {
 	if _, err := RunContext(ctx, c, sys, points, scalars,
 		Options{FixedBase: fb, GLV: true, Engine: EngineSerial}); err == nil {
 		t.Error("GLV flag against non-GLV tables must error")
+	}
+	if _, err := RunContext(ctx, c, sys, points, scalars,
+		Options{GLV: true, Engine: EngineSerial}); err == nil {
+		t.Error("GLV without precomputed tables must error")
 	}
 	other := mustCurve(t, "BLS12-381")
 	if _, err := RunContext(ctx, other, sys, subgroupPoints(t, other, 8, 5), other.SampleScalars(8, 6),

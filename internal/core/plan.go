@@ -34,8 +34,6 @@ type Options struct {
 	// SplitNDim shares a window across GPUs by splitting the point range
 	// (the paper's rejected first approach) instead of splitting buckets.
 	SplitNDim bool
-	// Block overrides the scatter thread-block geometry.
-	Block BlockConfig
 	// Engine selects the width of the one scheduled execution body (see
 	// Engine). The zero value is EngineSerial: the plan's shards run
 	// inline on the caller's goroutine, with faults, verification and
@@ -50,19 +48,10 @@ type Options struct {
 	// VerifySampling is the per-shard probability of the randomized
 	// result-verification pass: 0 auto-enables full verification when
 	// corrupted-result injection is configured, a negative value
-	// disables verification entirely. VerifyMode selects the check that
-	// runs on a sampled shard.
+	// disables verification entirely. A sampled shard gets the
+	// constant-size challenge check of internal/outsource
+	// (verifyShardChallenge).
 	VerifySampling float64
-	// VerifyMode selects the implementation behind VerifySampling: the
-	// default VerifyOutsource constant-size challenge check
-	// (internal/outsource) or the VerifyRecompute full-recompute
-	// differential reference.
-	VerifyMode VerifyMode
-	// VerifyMaskTerms is the sparse-mask size of the outsourced check —
-	// the count of secret signed point references mixed into the
-	// challenge aggregation (0 = outsource.DefaultMaskTerms). Ignored
-	// under VerifyRecompute.
-	VerifyMaskTerms int
 	// FixedBase routes the execution through per-window precomputed
 	// tables (§2.3.1): all windows scatter into one shared bucket array
 	// indexed by the flat table vector, eliminating the per-window
@@ -70,12 +59,13 @@ type Options struct {
 	// must match the table's base vector; the points argument of the run
 	// is ignored in favour of the tables. Build with NewFixedBase.
 	FixedBase *FixedBase
-	// GLV splits every scalar through the curve's cube-root endomorphism
-	// (k·P = k1·P + k2·φ(P), |k_i| ≈ √r) before planning, halving the
-	// window count. Requires a j-invariant-0 curve with a canonical
-	// subgroup generator (BN254, BLS12-381) and all points in the
-	// prime-order subgroup. With FixedBase set, the split must already be
-	// folded into the tables (NewFixedBase with GLV).
+	// GLV marks a FixedBase built with the curve's cube-root
+	// endomorphism split folded in (k·P = k1·P + k2·φ(P), |k_i| ≈ √r):
+	// NewFixedBase with GLV doubles the base vector and halves the
+	// window count; RunContext with GLV requires such tables and
+	// rejects GLV without FixedBase. Requires a j-invariant-0 curve
+	// with a canonical subgroup generator (BN254, BLS12-381) and all
+	// points in the prime-order subgroup.
 	GLV bool
 	// Tracer, when set, records a span for every scatter, shard
 	// execution (with GPU/attempt/speculative labels), bucket-reduce
@@ -93,28 +83,6 @@ type Options struct {
 	// path that always spans the full cluster).
 	Devices []int
 }
-
-// VerifyMode selects the implementation behind Options.VerifySampling.
-type VerifyMode int
-
-const (
-	// VerifyOutsource is the default: the 2G2T-style constant-size
-	// check of internal/outsource. The sampled shard's references are
-	// re-aggregated into ONE challenge accumulator with a secret sparse
-	// mask shuffled into the stream, and the claim is accepted iff the
-	// challenge equals the claimed accumulators' fold plus the mask
-	// correction — a comparison whose group-operation count depends on
-	// the shard's bucket count and mask size, not on how many point
-	// references the shard aggregates.
-	VerifyOutsource VerifyMode = iota
-	// VerifyRecompute is the differential reference: re-execute the
-	// full shard and compare 64-bit random-coefficient linear
-	// combinations of the claimed and reference bucket accumulators.
-	// It costs a complete shard recompute per sampled shard and is kept
-	// selectable as the oracle the outsourced check is validated
-	// against.
-	VerifyRecompute
-)
 
 // DefaultVariant is the full DistMSM accumulation kernel.
 const DefaultVariant = kernel.VariantTCCompact
@@ -286,7 +254,6 @@ type planKey struct {
 	naive      bool
 	gpuReduce  bool
 	splitNDim  bool
-	block      BlockConfig
 }
 
 func newPlanKey(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) planKey {
@@ -295,7 +262,6 @@ func newPlanKey(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) planKey
 		dev: cl.Dev, gpus: cl.N, ic: cl.IC, host: cl.Host,
 		variant: opts.Variant, variantSet: opts.VariantSet, unsigned: opts.Unsigned,
 		naive: opts.ForceNaiveScatter, gpuReduce: opts.ReduceOnGPU, splitNDim: opts.SplitNDim,
-		block: opts.Block,
 	}
 	if len(opts.Devices) > 0 {
 		k.devices = fmt.Sprint(opts.Devices)
@@ -394,10 +360,7 @@ func (p *Plan) complete(opts Options, adm *gpusim.Admission) (*Plan, error) {
 		return nil, err
 	}
 	p.NT = p.Cluster.Model().ConcurrentThreads(p.Spec, p.Curve.Fp.Bits())
-	p.Block = opts.Block
-	if p.Block.Threads == 0 {
-		p.Block = DefaultBlock()
-	}
+	p.Block = DefaultBlock()
 	if p.Devices, err = devicePool(p.Cluster, opts); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -28,8 +27,8 @@ import (
 //   - straggler: a shard in flight past a deadline (a multiple of its
 //     estimated duration) is speculatively re-executed on an idle GPU,
 //     first result wins;
-//   - corrupted-result: a sampled shard check (VerifyMode) rejects wrong
-//     partial bucket sums and re-executes the shard;
+//   - corrupted-result: a sampled shard check (verifyShardChallenge)
+//     rejects wrong partial bucket sums and re-executes the shard;
 //   - all GPUs lost: the plan is re-run on the host with the injector
 //     detached (runHost).
 //
@@ -131,13 +130,11 @@ type scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	plan       *Plan
-	pol        RetryPolicy
-	inject     bool // fault injection configured: stealing/speculation enabled
-	verifyP    float64
-	verifyMode VerifyMode
-	verifyMask int
-	seed       uint64
+	plan    *Plan
+	pol     RetryPolicy
+	inject  bool // fault injection configured: stealing/speculation enabled
+	verifyP float64
+	seed    uint64
 
 	gpus     []int // worker GPUs, in plan order
 	queues   map[int][]*shardTask
@@ -194,8 +191,6 @@ func newScheduler(plan *Plan, opts Options) *scheduler {
 			s.verifyP = 1
 		}
 	}
-	s.verifyMode = opts.VerifyMode
-	s.verifyMask = opts.VerifyMaskTerms
 	tasks := make([]shardTask, len(plan.Assignments)) // one backing array
 	s.tasks = make([]*shardTask, 0, len(tasks))
 	for i, a := range plan.Assignments {
@@ -710,13 +705,7 @@ func (e *concExec) execute(ctx context.Context, g int, t *shardTask, seq int, is
 		gpusim.HashUnit(e.sched.seed, gpusim.TagVerify,
 			uint64(t.a.Window), uint64(t.a.BucketLo), uint64(seq)) < e.sched.verifyP {
 		e.sched.countVerifyRun()
-		var ok bool
-		var verr error
-		if e.sched.verifyMode == VerifyRecompute {
-			ok, verr = e.verifyShard(t, seq, priv, sc.Buckets, ws)
-		} else {
-			ok, verr = e.verifyShardChallenge(t, seq, priv, sc.Buckets)
-		}
+		ok, verr := e.verifyShardChallenge(t, seq, priv, sc.Buckets)
 		if verr != nil {
 			return verr
 		}
@@ -763,31 +752,8 @@ func traceShard(tr *telemetry.Tracer, g int, t *shardTask, seq int, spec bool, s
 	})
 }
 
-// verifyShard is the recompute-based differential reference check
-// (Options.VerifyMode = VerifyRecompute). It is NOT cheap: it
-// re-executes the entire shard — every point addition the original
-// execution performed — to rebuild the reference bucket sums, then
-// compares 64-bit random-coefficient linear combinations of the claimed
-// and reference accumulators, so each sampled shard costs a full shard
-// recompute plus ~2·96 point operations per bucket for the RLC fold. A
-// corrupted accumulator escapes only if the coefficients align,
-// probability ~2^-64 per check. The default VerifyOutsource mode
-// (verifyShardChallenge) avoids the per-bucket recompute-and-RLC
-// entirely; this path is kept selectable as the oracle the outsourced
-// check is validated against.
-func (e *concExec) verifyShard(t *shardTask, seq int, claim []*curve.PointXYZZ, buckets [][]int32, ws *workerScratch) (bool, error) {
-	ref := make([]*curve.PointXYZZ, len(claim))
-	if _, err := sumBucketRange(e.c, e.points, buckets, t.a.BucketLo, t.a.BucketHi, ref, ws.sum); err != nil {
-		return false, err
-	}
-	seed := gpusim.Hash64(e.sched.seed, gpusim.TagCoeff,
-		uint64(t.a.Window), uint64(t.a.BucketLo), uint64(seq))
-	return rlcEqual(e.c, claim, ref, t.a.BucketLo, t.a.BucketHi, seed), nil
-}
-
-// verifyShardChallenge is the default shard check, the engine tier of
-// the 2G2T-style protocol in internal/outsource (Options.VerifyMode =
-// VerifyOutsource). The shard's references are re-aggregated into ONE
+// verifyShardChallenge is the engine's one shard check, the engine tier
+// of the 2G2T-style protocol in internal/outsource. The shard's references are re-aggregated into ONE
 // challenge accumulator with a secret sparse mask — signed point
 // references drawn from a seed the executing device never observes —
 // shuffled into the stream, and the claim is accepted iff
@@ -798,19 +764,14 @@ func (e *concExec) verifyShard(t *shardTask, seq int, claim []*curve.PointXYZZ, 
 // mask size in point additions, independent of how many references the
 // shard aggregates; a corrupted accumulator vector escapes only if its
 // per-bucket perturbations cancel exactly in the aggregate, which a
-// mask-oblivious corruption cannot arrange. Unlike verifyShard there is
-// no per-bucket reference reconstruction and no RLC fold — the
-// challenge pass is a plain addition stream shaped exactly like the
+// mask-oblivious corruption cannot arrange. There is no per-bucket
+// reference reconstruction — the challenge pass is a plain addition stream shaped exactly like the
 // bucket-sum kernel, i.e. work a device could execute, not host-side
 // recomputation of the claim.
 func (e *concExec) verifyShardChallenge(t *shardTask, seq int, claim []*curve.PointXYZZ, buckets [][]int32) (bool, error) {
 	rnd := outsource.NewSeededReader(gpusim.Hash64(e.sched.seed, gpusim.TagChallenge,
 		uint64(t.a.Window), uint64(t.a.BucketLo), uint64(seq)))
-	terms := e.sched.verifyMask
-	if terms == 0 {
-		terms = outsource.DefaultMaskTerms
-	}
-	mask, err := outsource.NewMask(len(e.points), terms, rnd)
+	mask, err := outsource.NewMask(len(e.points), outsource.DefaultMaskTerms, rnd)
 	if err != nil {
 		return false, err
 	}
@@ -866,7 +827,7 @@ func (e *concExec) verifyShardChallenge(t *shardTask, seq int, claim []*curve.Po
 
 // corruptShard realizes a corrupted-result fault by doubling the first
 // nontrivial accumulator — still a valid curve point, but the wrong
-// partial sum, exactly what the RLC verification must catch.
+// partial sum, exactly what the shard check must catch.
 func corruptShard(c *curve.Curve, acc []*curve.PointXYZZ, lo, hi int) bool {
 	a := c.NewAdder()
 	for b := lo; b < hi; b++ {
@@ -876,44 +837,6 @@ func corruptShard(c *curve.Curve, acc []*curve.PointXYZZ, lo, hi int) bool {
 		}
 	}
 	return false
-}
-
-// rlcEqual compares Σ r_b·claim[b] with Σ r_b·ref[b] over [lo, hi) for
-// deterministic pseudo-random 64-bit coefficients r_b derived from
-// seed. A corrupted accumulator escapes only if the coefficients align,
-// probability ~2^-64 per check (the coefficients were 16-bit until
-// PR 10, which left a ~2^-16 per-check escape window on the reference
-// verification path).
-func rlcEqual(c *curve.Curve, claim, ref []*curve.PointXYZZ, lo, hi int, seed uint64) bool {
-	a := c.NewAdder()
-	sumClaim, sumRef := c.NewXYZZ(), c.NewXYZZ()
-	h := seed
-	for b := lo; b < hi; b++ {
-		h = gpusim.Mix64(h)
-		r := h
-		if r == 0 {
-			r = 1
-		}
-		if claim[b] != nil {
-			a.Add(sumClaim, mulSmall(c, a, claim[b], r))
-		}
-		if ref[b] != nil {
-			a.Add(sumRef, mulSmall(c, a, ref[b], r))
-		}
-	}
-	return c.EqualXYZZ(sumClaim, sumRef)
-}
-
-// mulSmall computes k·p for a short (≤64-bit) k by double-and-add.
-func mulSmall(c *curve.Curve, a *curve.Adder, p *curve.PointXYZZ, k uint64) *curve.PointXYZZ {
-	out := c.NewXYZZ()
-	for i := bits.Len64(k) - 1; i >= 0; i-- {
-		a.Double(out)
-		if k>>uint(i)&1 == 1 {
-			a.Add(out, p)
-		}
-	}
-	return out
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

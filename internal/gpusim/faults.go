@@ -165,13 +165,11 @@ func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) {
 func (f *FaultInjector) Config() FaultConfig { return f.cfg }
 
 // hash-domain tags keeping the decision, verification-sampling and
-// verification-coefficient streams independent.
+// challenge-secret streams independent.
 const (
 	tagDecide uint64 = 0xD1CE
 	// TagVerify is the domain of the engine's verification-sampling rolls.
 	TagVerify uint64 = 0x5EED
-	// TagCoeff is the domain of the verification RLC coefficients.
-	TagCoeff uint64 = 0xC0EF
 	// TagChallenge is the domain of the outsourced-verification
 	// challenge secrets (sparse-mask derivation, internal/outsource).
 	TagChallenge uint64 = 0xCA11

@@ -158,13 +158,6 @@ func (m Model) ECOpSeconds(spec kernel.Spec, fieldBits int, totalOps float64) fl
 	return compute + m.MemSeconds(totalOps*fragBytes)
 }
 
-// ECOpSecondsPerThread prices a per-thread workload: the time for every
-// logical thread to execute opsPerThread EC ops when nThreads logical
-// threads share the device (waves of resident threads).
-func (m Model) ECOpSecondsPerThread(spec kernel.Spec, fieldBits int, opsPerThread float64, nThreads int) float64 {
-	return m.ECOpSeconds(spec, fieldBits, opsPerThread*float64(nThreads))
-}
-
 // GlobalAtomicSeconds prices totalOps global atomic RMWs with on average
 // `contention` concurrent writers per address. The cost per operation
 // grows with the square root of contention (saturating serialisation).

@@ -229,7 +229,7 @@ func starvationRun(t *testing.T, policy QueuePolicy) (interactiveErr error, st S
 		c.Workers = 1
 		c.QueueDepth = 20
 		c.QueuePolicy = policy
-		// A slack gate above the interactive timeout: cache-affinity
+		// A slack gate above the interactive deadline: cache-affinity
 		// coalescing must never jump the tight-deadline job here, so
 		// the run measures queue ordering alone.
 		c.CoalesceSlack = 3 * time.Second * timingScale
@@ -244,11 +244,24 @@ func starvationRun(t *testing.T, policy QueuePolicy) (interactiveErr error, st S
 		t.Fatal(err)
 	}
 
+	// The interactive deadline follows the measured time h of one heavy
+	// proof: 4h holds the gate job plus the interactive one (≈ h) well
+	// inside it, while the 12-job flood outlasts it three times over, at
+	// any prover speed and under the race detector alike. A fixed
+	// deadline stops separating the two as the prover gets faster.
+	t0 := time.Now()
+	warm, err := svc.Submit(Request{Circuit: "synthetic", Seed: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Wait(context.Background()); err != nil {
+		t.Fatalf("warm-up job: %v", err)
+	}
+	deadline := 4 * time.Since(t0)
+	t.Logf("policy %d: heavy proof %v, interactive deadline %v", policy, deadline/4, deadline)
+
 	// The gate job pins the worker so the backlog builds determin-
-	// istically before any ordering decision happens. The flood is 12
-	// heavy proofs so that, on any host, it outlasts the interactive
-	// deadline many times over while one heavy proof (the gate) plus the
-	// interactive one stays well inside it.
+	// istically before any ordering decision happens.
 	gateJob, err := svc.Submit(Request{Circuit: "synthetic", Seed: 999})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +275,7 @@ func starvationRun(t *testing.T, policy QueuePolicy) (interactiveErr error, st S
 		}
 		heavies = append(heavies, job)
 	}
-	interactive, err := svc.Submit(Request{Circuit: "interactive", Seed: 1, Timeout: time.Second * timingScale})
+	interactive, err := svc.Submit(Request{Circuit: "interactive", Seed: 1, Timeout: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +307,7 @@ func TestEDFStarvationProtection(t *testing.T) {
 		t.Fatalf("EDF: interactive job completed but QueueReorders = 0 — the EDF path did not reorder")
 	}
 	if err, _ := starvationRun(t, QueueFIFO); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("FIFO: interactive job behind a 12-job flood should miss its 1s deadline, got %v", err)
+		t.Fatalf("FIFO: interactive job behind a 12-job flood should miss its deadline, got %v", err)
 	}
 }
 
