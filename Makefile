@@ -73,7 +73,9 @@ fuzz-smoke:
 
 # End-to-end smoke of the proving service: submit jobs through the full
 # lifecycle (admission, proving on the simulated GPUs, verification,
-# drain) and exit non-zero on any failure.
+# drain) and exit non-zero on any failure, or unless every completed
+# job ran its msm-Z phase under the phase-DAG schedule (a service
+# quietly back on the sequential schedule fails here).
 service-smoke:
 	$(GO) run ./cmd/provd -gpus 4 -constraints 128 -smoke 6
 

@@ -74,7 +74,6 @@ func main() {
 		join        = flag.String("join", "", "coordinator base URL to join as a cluster worker node (e.g. http://coord:9090)")
 		advertise   = flag.String("advertise", "", "dispatch address advertised to the coordinator (default http://<listen>)")
 		nodeID      = flag.String("node-id", "", "stable cluster node identifier (default the hostname)")
-		pipelined   = flag.Bool("pipelined", false, "prove with the phase-DAG pipeline (quotient NTTs overlap witness MSMs on GPU sub-pools)")
 		queuePolicy = flag.String("queue-policy", "edf", "pending-queue order: edf (earliest deadline first) or fifo (arrival order)")
 		quota       = flag.Float64("circuit-quota", 0, "per-circuit admission quota as a fraction of capacity in (0,1]; 0 disables")
 		shed        = flag.Bool("shed", false, "shed doomed jobs (expired or EWMA-predicted deadline miss) at dequeue and at prover phase boundaries")
@@ -89,7 +88,7 @@ func main() {
 	opts := options{
 		gpus: *gpus, workers: *workers, queue: *queue, constraints: *constraints,
 		listen: *listen, timeout: *timeout, drain: *drain,
-		join: *join, advertise: *advertise, nodeID: *nodeID, pipelined: *pipelined,
+		join: *join, advertise: *advertise, nodeID: *nodeID,
 		smoke: *smoke, traceDir: *traceDir, pprofOn: *pprofOn,
 		queuePolicy: *queuePolicy, quota: *quota, shed: *shed, slack: *slack,
 	}
@@ -104,7 +103,6 @@ type options struct {
 	listen                            string
 	timeout, drain                    time.Duration
 	join, advertise, nodeID           string
-	pipelined                         bool
 	smoke                             int
 	traceDir                          string
 	pprofOn                           bool
@@ -147,7 +145,6 @@ func run(ctx context.Context, o options) error {
 		DefaultTimeout: o.timeout,
 		Metrics:        metrics,
 		TraceDir:       o.traceDir,
-		ProvePipelined: o.pipelined,
 		QueuePolicy:    policy,
 		CircuitQuota:   o.quota,
 		ShedDoomed:     o.shed,
@@ -166,7 +163,7 @@ func run(ctx context.Context, o options) error {
 	}
 
 	if o.smoke > 0 {
-		return runSmoke(ctx, svc, o.smoke, o.drain)
+		return runSmoke(ctx, svc, metrics, o.smoke, o.drain)
 	}
 
 	mux := http.NewServeMux()
@@ -246,7 +243,10 @@ func run(ctx context.Context, o options) error {
 
 // runSmoke pushes n jobs through the service and verifies every proof
 // arrived (the service verifies each proof itself before returning it).
-func runSmoke(ctx context.Context, svc *service.Service, n int, drain time.Duration) error {
+// It also fails unless every completed job ran msm-Z under the phase
+// DAG: only that schedule reports per-phase latencies, so a service
+// quietly back on the sequential schedule fails here.
+func runSmoke(ctx context.Context, svc *service.Service, metrics *telemetry.Registry, n int, drain time.Duration) error {
 	start := time.Now()
 	jobs := make([]*service.Job, 0, n)
 	for i := 0; i < n; i++ {
@@ -280,6 +280,11 @@ func runSmoke(ctx context.Context, svc *service.Service, n int, drain time.Durat
 		st.Completed, st.Rejected, time.Since(start).Round(time.Millisecond))
 	if st.Completed != uint64(len(jobs)) {
 		return fmt.Errorf("completed %d of %d jobs", st.Completed, len(jobs))
+	}
+	// Registry.Histogram fetches the service's pre-registered series.
+	msmZ := metrics.Histogram("distmsm_prove_phase_seconds", "", `phase="msm-Z"`, nil)
+	if got := msmZ.Count(); got != st.Completed {
+		return fmt.Errorf(`distmsm_prove_phase_seconds_count{phase="msm-Z"} = %d, want %d (one per completed job)`, got, st.Completed)
 	}
 	return nil
 }

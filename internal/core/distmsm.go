@@ -480,7 +480,7 @@ func (p *Plan) EstimateCost() gpusim.Cost {
 		chunk := math.Ceil(float64(p.Buckets) / nt)
 		perThread := 2*float64(p.S)*chunk +
 			math.Min(chunk+math.Log2(nt), float64(p.S))
-		winPerGPU := math.Ceil(float64(p.Windows) / float64(p.poolSize()))
+		winPerGPU := math.Ceil(float64(p.Windows) / float64(p.Cluster.N))
 		if p.SplitNDim {
 			winPerGPU = float64(p.Windows) // not amortised across GPUs
 		}

@@ -73,15 +73,6 @@ type Options struct {
 	// JSON via telemetry.Tracer.WriteChromeTrace. Nil disables tracing
 	// at zero cost on the shard hot path.
 	Tracer *telemetry.Tracer
-	// Devices restricts the plan to a GPU sub-pool (device indices into
-	// [0, cluster.N)); empty selects every device. The phase-DAG
-	// pipelined prover hands concurrent per-phase MSMs disjoint
-	// sub-pools so their schedulers never contend for the same simulated
-	// GPU (work stealing and rebalancing stay within one plan's pool).
-	// Because shards always hold whole buckets, any sub-pool produces
-	// bit-identical results. Incompatible with SplitNDim (an ablation
-	// path that always spans the full cluster).
-	Devices []int
 }
 
 // DefaultVariant is the full DistMSM accumulation kernel.
@@ -134,11 +125,6 @@ type Plan struct {
 	// set, the engines consume Pre[j] instead of recoding and scattering
 	// window j from the scalars.
 	Pre []*ScatterResult
-
-	// Devices is the GPU sub-pool the plan was built over (every device
-	// of the cluster unless Options.Devices narrowed it). Cost
-	// amortisation across GPUs uses the pool size, not the cluster size.
-	Devices []int
 
 	Assignments []Assignment
 }
@@ -237,8 +223,8 @@ type planChoice struct {
 
 // planKey is everything the search's costs depend on: the curve (its
 // name fixes the field) and scalar width, n, the device, interconnect
-// and host models, the cluster size and device pool, and the
-// kernel/scatter/reduce options.
+// and host models, the cluster size, and the kernel/scatter/reduce
+// options.
 type planKey struct {
 	curve      string
 	scalarBits int
@@ -247,7 +233,6 @@ type planKey struct {
 	gpus       int
 	ic         gpusim.Interconnect
 	host       gpusim.CPU
-	devices    string
 	variant    kernel.Variant
 	variantSet bool
 	unsigned   bool
@@ -257,16 +242,12 @@ type planKey struct {
 }
 
 func newPlanKey(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options) planKey {
-	k := planKey{
+	return planKey{
 		curve: c.Name, scalarBits: c.ScalarBits, n: n,
 		dev: cl.Dev, gpus: cl.N, ic: cl.IC, host: cl.Host,
 		variant: opts.Variant, variantSet: opts.VariantSet, unsigned: opts.Unsigned,
 		naive: opts.ForceNaiveScatter, gpuReduce: opts.ReduceOnGPU, splitNDim: opts.SplitNDim,
 	}
-	if len(opts.Devices) > 0 {
-		k.devices = fmt.Sprint(opts.Devices)
-	}
-	return k
 }
 
 // executedPlan returns the plan RunContext runs for the priced plan.
@@ -345,8 +326,7 @@ func buildPlanFixed(c *curve.Curve, cl *gpusim.Cluster, n int, opts Options, s i
 // complete fills in what every plan shares once its shape (curve, N, S,
 // signedness, windows, buckets and scatter/reduce flags) is set: the
 // kernel specs of the selected variant, the per-GPU thread capacity,
-// the block shape, the device pool and the health-admitted bucket
-// assignments.
+// the block shape and the health-admitted bucket assignments.
 func (p *Plan) complete(opts Options, adm *gpusim.Admission) (*Plan, error) {
 	variant := DefaultVariant
 	if opts.VariantSet {
@@ -361,35 +341,8 @@ func (p *Plan) complete(opts Options, adm *gpusim.Admission) (*Plan, error) {
 	}
 	p.NT = p.Cluster.Model().ConcurrentThreads(p.Spec, p.Curve.Fp.Bits())
 	p.Block = DefaultBlock()
-	if p.Devices, err = devicePool(p.Cluster, opts); err != nil {
-		return nil, err
-	}
-	p.Assignments = assignBucketsAdmitted(p.Windows, p.Buckets, p.Devices, adm)
+	p.Assignments = assignBucketsAdmitted(p.Windows, p.Buckets, p.Cluster.N, adm)
 	return p, nil
-}
-
-// devicePool validates opts.Devices against the cluster and returns the
-// plan's GPU sub-pool (the full device list when none is given).
-func devicePool(cl *gpusim.Cluster, opts Options) ([]int, error) {
-	if len(opts.Devices) == 0 {
-		return allDevices(cl.N), nil
-	}
-	if opts.SplitNDim {
-		return nil, fmt.Errorf("%w: device sub-pools require the default bucket split", gpusim.ErrBadDevice)
-	}
-	seen := make(map[int]bool, len(opts.Devices))
-	pool := make([]int, 0, len(opts.Devices))
-	for _, g := range opts.Devices {
-		if g < 0 || g >= cl.N {
-			return nil, fmt.Errorf("%w: device %d out of range [0,%d)", gpusim.ErrBadDevice, g, cl.N)
-		}
-		if seen[g] {
-			return nil, fmt.Errorf("%w: device %d listed twice", gpusim.ErrBadDevice, g)
-		}
-		seen[g] = true
-		pool = append(pool, g)
-	}
-	return pool, nil
 }
 
 func allDevices(n int) []int {
@@ -398,22 +351,6 @@ func allDevices(n int) []int {
 		gpus[g] = g
 	}
 	return gpus
-}
-
-// intersectPool filters the admission list to pool members, preserving
-// the admission order.
-func intersectPool(admitted, pool []int) []int {
-	in := make(map[int]bool, len(pool))
-	for _, g := range pool {
-		in[g] = true
-	}
-	var out []int
-	for _, g := range admitted {
-		if in[g] {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // unitRange emits the per-window assignments covering the linear unit
@@ -458,39 +395,32 @@ func assignBuckets(windows, buckets, nGPU int) []Assignment {
 }
 
 // assignBucketsAdmitted applies a health-registry admission to the
-// partition over the plan's GPU sub-pool: half-open GPUs get one probe
-// shard of adm.ProbeBuckets units each (clamped so probes never take
-// more than half the work), fully-admitted GPUs level the rest, and
-// quarantined GPUs get nothing. The admission lists are intersected
-// with the pool; when that quarantines the whole sub-pool the space is
-// levelled across the pool anyway (sub-pool-scope emergency
-// re-admission, mirroring the registry's all-open behaviour — the
-// scheduler still retries and rebalances shard by shard at runtime).
-// A nil admission levels across the pool.
-func assignBucketsAdmitted(windows, buckets int, pool []int, adm *gpusim.Admission) []Assignment {
+// partition over the cluster's nGPU devices: half-open GPUs get one
+// probe shard of adm.ProbeBuckets units each (clamped so probes never
+// take more than half the work), fully-admitted GPUs level the rest,
+// and quarantined GPUs get nothing. A nil admission levels across every
+// device. The registry never admits an empty set (it re-admits every
+// device as a probe when all are open), so a non-nil admission always
+// has somewhere to put the work.
+func assignBucketsAdmitted(windows, buckets, nGPU int, adm *gpusim.Admission) []Assignment {
 	total := windows * buckets
 	if adm == nil {
-		return splitUnits(nil, 0, total, buckets, pool)
+		return assignBuckets(windows, buckets, nGPU)
 	}
-	full := intersectPool(adm.Full, pool)
-	probes := intersectPool(adm.Probes, pool)
-	if len(full) == 0 && len(probes) == 0 {
-		return splitUnits(nil, 0, total, buckets, pool)
-	}
-	if len(full) == 0 {
-		return splitUnits(nil, 0, total, buckets, probes)
+	if len(adm.Full) == 0 {
+		return splitUnits(nil, 0, total, buckets, adm.Probes)
 	}
 	var out []Assignment
 	off := 0
-	if len(probes) > 0 {
+	if len(adm.Probes) > 0 {
 		pb := adm.ProbeBuckets
-		if maxPB := total / (2 * len(probes)); pb > maxPB {
+		if maxPB := total / (2 * len(adm.Probes)); pb > maxPB {
 			pb = maxPB
 		}
 		if pb < 1 {
 			pb = 1
 		}
-		for _, g := range probes {
+		for _, g := range adm.Probes {
 			hi := off + pb
 			if hi > total {
 				hi = total
@@ -499,7 +429,7 @@ func assignBucketsAdmitted(windows, buckets int, pool []int, adm *gpusim.Admissi
 			off = hi
 		}
 	}
-	return splitUnits(out, off, total, buckets, full)
+	return splitUnits(out, off, total, buckets, adm.Full)
 }
 
 // rebalanceTargets picks, for each of n orphaned shards of a lost GPU,
@@ -525,16 +455,6 @@ func rebalanceTargets(n int, load map[int]int, healthy []int) []int {
 		l[best]++
 	}
 	return out
-}
-
-// poolSize returns the number of GPUs the plan may schedule onto (the
-// sub-pool size when Options.Devices narrowed the plan, the cluster
-// size otherwise).
-func (p *Plan) poolSize() int {
-	if len(p.Devices) > 0 {
-		return len(p.Devices)
-	}
-	return p.Cluster.N
 }
 
 // GPUsOf returns how many distinct GPUs participate in the plan.

@@ -94,7 +94,7 @@ func TestExecutedPlan(t *testing.T) {
 func TestPlanChoiceCache(t *testing.T) {
 	c := mustCurve(t, "BLS12-381")
 	cl := cluster(t, 4)
-	for _, opts := range []Options{{}, {ReduceOnGPU: true}, {Unsigned: true}, {Devices: []int{1, 3}}} {
+	for _, opts := range []Options{{}, {ReduceOnGPU: true}, {Unsigned: true}} {
 		const n = 777
 		if _, err := BuildPlan(c, cl, n, opts); err != nil { // fills the cache
 			t.Fatal(err)

@@ -599,9 +599,10 @@ func (s *scheduler) cancelExec(t *shardTask) {
 
 // reportHealth folds the run's per-GPU outcome into the cross-request
 // health registry. It reports for every worker GPU of the plan — GPUs
-// with zero shards and zero faults (e.g. a cancelled run) are a no-op in
-// the breaker state machine, so cancellation never skews the breakers.
-func (s *scheduler) reportHealth(h *gpusim.HealthRegistry) {
+// with zero shards and zero faults are a no-op in the breaker state
+// machine — and a cancelled run returns the admission of every GPU it
+// gave no work, so cancellation never skews the breakers.
+func (s *scheduler) reportHealth(ctx context.Context, h *gpusim.HealthRegistry) {
 	s.mu.Lock()
 	gpus := append([]int(nil), s.gpus...)
 	committed := make(map[int]int, len(s.committed))
@@ -614,6 +615,10 @@ func (s *scheduler) reportHealth(h *gpusim.HealthRegistry) {
 	}
 	s.mu.Unlock()
 	for _, g := range gpus {
+		if committed[g] == 0 && faults[g] == 0 && ctx.Err() != nil {
+			h.ReturnProbe(g)
+			continue
+		}
 		h.RecordRun(g, committed[g], faults[g])
 	}
 }
@@ -901,7 +906,7 @@ func runScheduled(ctx context.Context, points []curve.PointAffine, scalars []big
 		// Report on every exit path — success, fault-induced failure,
 		// and cancellation alike — so cross-request breaker state never
 		// misses a device loss that also failed the run.
-		defer sched.reportHealth(h)
+		defer sched.reportHealth(ctx, h)
 	}
 
 	windowSums := make([]*curve.PointXYZZ, plan.Windows)

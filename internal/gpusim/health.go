@@ -150,8 +150,9 @@ func (r *HealthRegistry) Admit(n int) Admission {
 // breaker-relevant faults (device losses + verification failures) it
 // produced. Any fault is a failure of that count; a fault-free run with
 // at least one committed shard is a success. A run with neither (a
-// probe whose shard was stolen, or a run cancelled first) leaves the
-// breaker as it is, so a half-open device is probed again next plan.
+// probe whose shard was stolen) leaves the breaker as it is, so a
+// half-open device is probed again next plan; a cancelled run returns
+// its idle devices' admissions with ReturnProbe instead.
 func (r *HealthRegistry) RecordRun(g, shards, faults int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -162,6 +163,22 @@ func (r *HealthRegistry) RecordRun(g, shards, faults int) {
 		h.br.Fail(faults, r.plans, r.cfg.FaultThreshold)
 	} else if shards > 0 {
 		h.br.Succeed()
+	}
+}
+
+// ReturnProbe hands back the admission of a GPU whose run was cancelled
+// before the device did any work. A half-open breaker goes back to open
+// with its trip tick kept: the device stays quarantined on every health
+// surface, and a later plan offers it the probe again once its cooldown
+// has elapsed (or every device is open). Concurrent runs cancel each
+// other routinely — the phase-DAG prover cancels its sibling MSMs when
+// one fails — so without this a cancelled run's admission would leave a
+// device half-open that no probe ever tested.
+func (r *HealthRegistry) ReturnProbe(g int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b := &r.gpuLocked(g).br; b.state == BreakerHalfOpen {
+		b.state = BreakerOpen
 	}
 }
 

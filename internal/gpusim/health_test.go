@@ -133,3 +133,27 @@ func TestBreakerStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestReturnProbe: a cancelled run hands back an unexercised half-open
+// admission — the device reads open again, keeps its trip tick (so the
+// next plan still offers the probe), and closed devices are untouched.
+func TestReturnProbe(t *testing.T) {
+	r := NewHealthRegistry(HealthConfig{FaultThreshold: 1, CooldownRuns: 1})
+	r.RecordRun(0, 0, 1)
+	r.Admit(2) // cooldown elapses → half-open
+	if s := r.State(0); s != BreakerHalfOpen {
+		t.Fatalf("state %v, want half-open", s)
+	}
+	r.ReturnProbe(0)
+	r.ReturnProbe(1)
+	if s := r.State(0); s != BreakerOpen {
+		t.Fatalf("returned probe: state %v, want open", s)
+	}
+	if s := r.State(1); s != BreakerClosed {
+		t.Fatalf("closed device after ReturnProbe: state %v, want closed", s)
+	}
+	adm := r.Admit(2)
+	if len(adm.Probes) != 1 || adm.Probes[0] != 0 || len(adm.Full) != 1 || adm.Full[0] != 1 {
+		t.Fatalf("admission %+v, want GPU 0 probing again beside GPU 1", adm)
+	}
+}

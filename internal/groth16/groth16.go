@@ -137,13 +137,11 @@ type Provers struct {
 	Pipeline *PipelineOptions
 }
 
-// PipelineOptions configure the phase-DAG pipelined prover.
+// PipelineOptions configure the phase-DAG schedule. Its quotient runs
+// the coset NTTs GOMAXPROCS wide — the host-parallel stand-in for the
+// multi-GPU four-step NTT the paper names as the next target (§5.1.1,
+// internal/ntt/fourstep.go).
 type PipelineOptions struct {
-	// NTTWorkers bounds the quotient's parallel coset-NTT fan-out
-	// (0 selects GOMAXPROCS) — the host-parallel stand-in for the
-	// multi-GPU four-step NTT the paper names as the next target
-	// (§5.1.1, internal/ntt/fourstep.go).
-	NTTWorkers int
 	// OnPhase, when set, receives every completed phase's name and wall
 	// duration. Phases complete concurrently, so OnPhase must be safe
 	// for concurrent use.
@@ -410,9 +408,9 @@ func (e *Engine) ProveContextWith(ctx context.Context, cs *r1cs.System, pk *Prov
 	fr := e.Fr
 	msmG1 := e.g1msm(pr)
 	msmG2 := e.g2msm(pr)
-	nttWorkers := 1
+	nttWorkers := 1 // the sequential schedule's quotient runs inline
 	if pr.Pipeline != nil {
-		nttWorkers = pr.Pipeline.NTTWorkers
+		nttWorkers = 0 // GOMAXPROCS
 	}
 
 	// The proof randomness is drawn once, r then s, before any phase: no

@@ -25,12 +25,12 @@ import (
 	"distmsm/internal/telemetry"
 )
 
-// TestPipelinedParityMatrix is the acceptance grid of the phase-DAG PR:
+// TestPipelinedParityMatrix is the acceptance grid of the phase DAG:
 // the pipelined prover must produce byte-identical proofs to the
 // sequential schedule with the G1 MSMs routed through DistMSM, across
 // both execution engines, all four fault classes, and cached
-// (fixed-base + precomputed G2) vs uncached key columns — with each
-// concurrent phase confined to its own disjoint GPU sub-pool.
+// (fixed-base + precomputed G2) vs uncached key columns — with every
+// concurrent phase planned over the whole cluster.
 func TestPipelinedParityMatrix(t *testing.T) {
 	e := newEngine(t)
 	cs, w := r1cs.BuildSynthetic(e.Fr, 200, 9)
@@ -78,9 +78,6 @@ func TestPipelinedParityMatrix(t *testing.T) {
 		{name: "corrupt", cfg: &gpusim.FaultConfig{Seed: 7, Corrupt: 0.3}},
 		{name: "device-lost", cfg: &gpusim.FaultConfig{Seed: 7, DeviceLost: 0.15}},
 	}
-	// Disjoint sub-pools, one per G1 phase (indexed by MSMPhase).
-	pools := [4][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-
 	for _, eng := range []core.Engine{core.EngineSerial, core.EngineConcurrent} {
 		for _, fc := range faultClasses {
 			if fc.cfg != nil && eng == core.EngineSerial {
@@ -88,10 +85,10 @@ func TestPipelinedParityMatrix(t *testing.T) {
 			}
 			for _, cached := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/cached=%v", eng, fc.name, cached)
-				pr := Provers{Pipeline: &PipelineOptions{NTTWorkers: 4}}
+				pr := Provers{Pipeline: &PipelineOptions{}}
 				eng, fc, cached := eng, fc, cached
 				pr.G1Ctx = func(msmCtx context.Context, phase MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
-					opts := core.Options{Engine: eng, Devices: pools[phase]}
+					opts := core.Options{Engine: eng}
 					if fc.cfg != nil {
 						cfg := *fc.cfg
 						opts.Faults = &cfg
@@ -334,7 +331,7 @@ func TestPipelinedNoGoroutineLeak(t *testing.T) {
 	boom := errors.New("boom")
 	for i := 0; i < 5; i++ {
 		if _, err := e.ProveContextWith(context.Background(), cs, pk, w,
-			rand.New(rand.NewSource(int64(i))), Provers{Pipeline: &PipelineOptions{NTTWorkers: 2}}); err != nil {
+			rand.New(rand.NewSource(int64(i))), Provers{Pipeline: &PipelineOptions{}}); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		pr := Provers{Pipeline: &PipelineOptions{}}
@@ -376,7 +373,7 @@ func TestPipelinedPhaseSpans(t *testing.T) {
 	ctx := telemetry.NewContext(context.Background(), tr)
 	phaseDur := make(map[string]time.Duration)
 	var mu sync.Mutex
-	opt := &PipelineOptions{NTTWorkers: 4, OnPhase: func(name string, d time.Duration) {
+	opt := &PipelineOptions{OnPhase: func(name string, d time.Duration) {
 		mu.Lock()
 		phaseDur[name] = d
 		mu.Unlock()

@@ -105,12 +105,12 @@ func newServiceMetrics(reg *telemetry.Registry, health *gpusim.HealthRegistry, g
 	m.queueReorders = reg.Counter("distmsm_queue_reorders_total",
 		"Dequeues where EDF picked a job ahead of the strict-FIFO head.", "")
 
-	// One histogram per prover phase, pre-registered so the pipelined
-	// prover's concurrent OnPhase callbacks only touch atomics.
+	// One histogram per prover phase, pre-registered so the phase DAG's
+	// concurrent OnPhase callbacks only touch atomics.
 	m.phaseSeconds = make(map[string]*telemetry.Histogram, len(provePhases))
 	for _, phase := range provePhases {
 		m.phaseSeconds[phase] = reg.Histogram("distmsm_prove_phase_seconds",
-			"Wall time of one Groth16 prover phase (pipelined prover).",
+			"Wall time of one Groth16 prover phase (phase-DAG schedule).",
 			`phase="`+phase+`"`, nil)
 	}
 
@@ -244,11 +244,11 @@ func (m *serviceMetrics) observeReorder() {
 	m.queueReorders.Inc()
 }
 
-// provePhases are the pipelined prover's phase names, in DAG order.
+// provePhases are the prover's phase names, in DAG order.
 var provePhases = []string{"quotient", "msm-A", "msm-B2", "msm-B1", "msm-K", "msm-Z"}
 
 // observePhase records one completed prover phase's wall time. Called
-// concurrently from the pipelined prover's phase goroutines — the
+// concurrently from the phase DAG's goroutines — the
 // histogram handle only touches atomics.
 func (m *serviceMetrics) observePhase(name string, d time.Duration) {
 	if m == nil {

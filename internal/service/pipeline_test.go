@@ -4,81 +4,55 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"distmsm/internal/groth16"
 	"distmsm/internal/telemetry"
 )
 
-// TestPhaseDevicePools pins the sub-pool partition the pipelined prover
-// hands its concurrent G1 phases: below four GPUs every phase shares
-// the whole cluster (nil pools); at four and above the pools are
-// non-empty, disjoint, and cover every device exactly once.
-func TestPhaseDevicePools(t *testing.T) {
-	for _, n := range []int{1, 2, 3} {
-		for i, p := range phaseDevicePools(n) {
-			if p != nil {
-				t.Errorf("n=%d: phase %d got pool %v, want nil (whole cluster)", n, i, p)
-			}
-		}
-	}
-	for _, n := range []int{4, 5, 8, 13} {
-		seen := map[int]bool{}
-		total := 0
-		for i, p := range phaseDevicePools(n) {
-			if len(p) == 0 {
-				t.Fatalf("n=%d: phase %d got an empty pool", n, i)
-			}
-			for _, g := range p {
-				if g < 0 || g >= n {
-					t.Fatalf("n=%d: phase %d pool holds out-of-range device %d", n, i, g)
-				}
-				if seen[g] {
-					t.Fatalf("n=%d: device %d appears in two phase pools", n, g)
-				}
-				seen[g] = true
-			}
-			total += len(p)
-		}
-		if total != n {
-			t.Fatalf("n=%d: pools cover %d devices, want all %d", n, total, n)
-		}
-	}
-}
-
-// TestServicePipelinedProveParity: the ProvePipelined knob changes the
-// schedule, not the proof — a pipelined service and a sequential service
-// produce byte-identical proofs for the same job seed — and the
-// per-phase latency histograms are exposed on /metrics.
-func TestServicePipelinedProveParity(t *testing.T) {
+// TestServiceProveMatchesSequential: the service proves under the phase
+// DAG with every G1 phase on the whole simulated cluster, and the proof
+// is byte-identical to the sequential schedule's on the CPU backends
+// (Provers{}, independent of the service) for the same key, witness and
+// seed. Every phase's latency histogram is exposed on /metrics with
+// exactly one sample — the per-phase series only the DAG reports.
+func TestServiceProveMatchesSequential(t *testing.T) {
 	defer leakCheck(t)()
 	reg := telemetry.NewRegistry()
-	pip := newTestService(t, 8, 64, func(cfg *Config) {
-		cfg.ProvePipelined = true
-		cfg.Metrics = reg
-	})
-	defer shutdownClean(t, pip)
-	seq := newTestService(t, 8, 64, nil)
-	defer shutdownClean(t, seq)
+	svc := newTestService(t, 8, 64, func(cfg *Config) { cfg.Metrics = reg })
+	defer shutdownClean(t, svc)
 
-	var proofs [2][]byte
-	for i, svc := range []*Service{pip, seq} {
-		job, err := svc.Submit(Request{Circuit: "synthetic", Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		proof, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		proofs[i] = svc.Engine().MarshalProof(proof)
+	const seed = 42
+	job, err := svc.Submit(Request{Circuit: "synthetic", Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(proofs[0], proofs[1]) {
-		t.Fatal("pipelined service proof differs from the sequential service's bytes")
+	proof, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(pip.Handler())
+	svc.mu.Lock()
+	c := svc.circuits["synthetic"]
+	svc.mu.Unlock()
+	w, err := c.witness(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := svc.Engine()
+	seq, err := eng.ProveContextWith(context.Background(), c.cs, c.pk, w,
+		rand.New(rand.NewSource(seed)), groth16.Provers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(eng.MarshalProof(proof), eng.MarshalProof(seq)) {
+		t.Fatal("service proof differs from the sequential schedule's bytes")
+	}
+
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/metrics")
 	if err != nil {

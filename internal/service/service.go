@@ -232,14 +232,6 @@ type Config struct {
 	// (the pre-cache behaviour; mostly useful for benchmarking the cache
 	// itself).
 	DisableBaseCache bool
-	// ProvePipelined runs every job's proof as a phase DAG instead of a
-	// phase list: the quotient (on parallel coset NTTs) overlaps the
-	// witness-only MSM phases and msm-Z starts the moment the quotient
-	// lands. Each G1 phase gets a disjoint GPU sub-pool (clusters of
-	// ≥ 4 devices) so concurrent MSMs never contend for a simulated
-	// GPU. Proofs are byte-identical to the sequential prover; this is
-	// the single-proof-latency knob, orthogonal to batch throughput.
-	ProvePipelined bool
 	// OnJobStart/OnJobDone, when set, are called on the worker goroutine
 	// immediately before and after each job's proving pipeline —
 	// observability hooks, also used by the tests to synchronise with the
@@ -442,10 +434,6 @@ type Service struct {
 	cluster *gpusim.Cluster // cfg.Cluster with the health registry attached
 	health  *gpusim.HealthRegistry
 	metrics *serviceMetrics // nil when Config.Metrics is unset
-	// phasePools holds the per-phase GPU sub-pools of the pipelined
-	// prover, indexed by groth16.MSMPhase. Nil entries mean "the whole
-	// cluster" (sequential mode, or clusters too small to partition).
-	phasePools [4][]int
 
 	// baseCtx parents every job context; cancelling it (forced shutdown)
 	// aborts all in-flight work.
@@ -532,37 +520,12 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics = newServiceMetrics(cfg.Metrics, reg, s.cluster.N)
-	if cfg.ProvePipelined {
-		s.phasePools = phaseDevicePools(s.cluster.N)
-	}
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	for w := 0; w < cfg.Workers; w++ {
 		s.workersWG.Add(1)
 		go s.worker()
 	}
 	return s, nil
-}
-
-// phaseDevicePools partitions the cluster's GPUs into disjoint
-// contiguous sub-pools, one per G1 MSM phase (A, B1, K, Z), so the
-// pipelined prover's concurrent phases never queue shards onto the same
-// simulated device. Clusters under four GPUs cannot be partitioned one
-// pool per phase; they keep nil pools (every phase plans over the whole
-// cluster — correct either way, since shards hold whole buckets).
-func phaseDevicePools(n int) [4][]int {
-	var pools [4][]int
-	if n < 4 {
-		return pools
-	}
-	for i := 0; i < 4; i++ {
-		lo, hi := i*n/4, (i+1)*n/4
-		pool := make([]int, 0, hi-lo)
-		for g := lo; g < hi; g++ {
-			pool = append(pool, g)
-		}
-		pools[i] = pool
-	}
-	return pools
 }
 
 // Engine exposes the service's Groth16 engine (marshalling, field).
@@ -1199,9 +1162,13 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 	// deadline must fail from inside groth16.ProveContextWith (its entry
 	// cancellation point), proving the context reaches the pipeline.
 	pr := groth16.Provers{
-		// The ctx-aware form: the pipelined prover passes its per-proof
-		// group context, so the first failing phase cancels the other
-		// phases' MSMs at their next shard boundary.
+		// The phase DAG, as SNARK.ProveContext runs it: the quotient's
+		// coset NTTs overlap the witness MSMs, msm-Z starts when h lands,
+		// and each G1 phase plans over the whole cluster.
+		Pipeline: &groth16.PipelineOptions{OnPhase: s.metrics.observePhase},
+		// The ctx-aware form: the DAG passes its per-proof group context,
+		// so the first failing phase cancels the other phases' MSMs at
+		// their next shard boundary.
 		G1Ctx: func(msmCtx context.Context, phase groth16.MSMPhase, points []curve.PointAffine, scalars []bigint.Nat) (*curve.PointXYZZ, error) {
 			// Phase-boundary shedding: before launching the phase's MSM,
 			// compare the remaining deadline budget against the circuit's
@@ -1224,12 +1191,7 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 			if bases != nil {
 				fb = bases.g1[phase]
 			}
-			opts := s.msmOptions(msmCtx, fb)
-			// Pipelined proofs run G1 phases concurrently: each phase
-			// schedules onto its own GPU sub-pool (nil = whole cluster), so
-			// two phases never queue shards on the same simulated device.
-			opts.Devices = s.phasePools[phase]
-			res, err := core.RunContext(msmCtx, s.eng.P.Curve, s.cluster, points, scalars, opts)
+			res, err := core.RunContext(msmCtx, s.eng.P.Curve, s.cluster, points, scalars, s.msmOptions(msmCtx, fb))
 			if err != nil {
 				return nil, err
 			}
@@ -1247,11 +1209,6 @@ func (s *Service) prove(ctx context.Context, c *circuit, bases *circuitBases, se
 	if bases != nil && bases.b2 != nil {
 		pr.G2Ctx = func(msmCtx context.Context, _ []pairing.G2Affine, scalars []*big.Int) (pairing.G2Affine, error) {
 			return bases.b2.MSMContext(msmCtx, scalars)
-		}
-	}
-	if s.cfg.ProvePipelined {
-		pr.Pipeline = &groth16.PipelineOptions{
-			OnPhase: s.metrics.observePhase,
 		}
 	}
 	proof, err := s.eng.ProveContextWith(ctx, c.cs, c.pk, w, rand.New(rand.NewSource(seed)), pr)
